@@ -18,7 +18,7 @@
 // See src/common/mutex.h for the annotated Mutex/MutexLock/CondVar
 // types the annotations attach to (std::mutex itself carries no
 // capability attributes under libstdc++), and docs/static_analysis.md
-// for how this layer fits next to lint.sh, clang-tidy and mrcp-lint.
+// for how this layer fits next to mrcp-lint and clang-tidy.
 #pragma once
 
 #if defined(__clang__) && (!defined(SWIG))

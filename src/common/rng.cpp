@@ -57,7 +57,7 @@ std::string RandomStream::save_state() const {
 
 bool RandomStream::load_state(const std::string& state) {
   std::istringstream in(state);
-  std::mt19937_64 restored;  // overwritten below (lint-ok: no-unseeded-rng)
+  std::mt19937_64 restored;  // overwritten below (lint-ok: rng-construction)
   in >> restored;
   if (in.fail()) return false;
   engine_ = restored;

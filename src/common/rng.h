@@ -61,7 +61,7 @@ class RandomStream {
   bool load_state(const std::string& state);
 
  private:
-  std::mt19937_64 engine_;  // seeded in every ctor (lint-ok: no-unseeded-rng)
+  std::mt19937_64 engine_;  // seeded in every ctor (lint-ok: rng-construction)
 };
 
 }  // namespace mrcp

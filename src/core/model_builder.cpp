@@ -129,10 +129,7 @@ BuiltModel build_combined_model(const Cluster& cluster,
                  "direct model");
   built.model.add_resource(cluster.total_map_slots(),
                            cluster.total_reduce_slots(), 0, uniform_speed);
-  bool links_constrained = false;
-  for (const Resource& r : cluster.resources()) {
-    links_constrained |= r.net_capacity > 0;
-  }
+  const bool links_constrained = cluster.links_constrained();
   for (const LiveJob& lj : jobs) {
     for (const LiveTask& lt : lj.tasks) {
       MRCP_CHECK_MSG(lt.res_req == 1,

@@ -412,13 +412,6 @@ bool affinity_groups_satisfiable(const Cluster& cluster, const LiveJob& lj,
   return true;
 }
 
-bool cluster_links_constrained(const Cluster& cluster) {
-  for (const Resource& r : cluster.resources()) {
-    if (r.net_capacity > 0) return true;
-  }
-  return false;
-}
-
 std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
   // splitmix64 finalizer over the running hash: cheaper than byte-wise
   // FNV (the fingerprint walks every live task every invocation) with
@@ -508,8 +501,8 @@ bool keep_started_tasks_only(LiveJob& lj) {
 
 void MrcpRm::park_unplaceable(std::vector<LiveJob>& live, Time now) {
   parked_.clear();
-  const bool cur_links = cluster_links_constrained(cluster_);
-  const bool pristine_links = cluster_links_constrained(pristine_cluster_);
+  const bool cur_links = cluster_.links_constrained();
+  const bool pristine_links = pristine_cluster_.links_constrained();
   for (auto it = live.begin(); it != live.end();) {
     LiveJob& lj = *it;
     bool park = false;
@@ -677,10 +670,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     // formulation when any task requires more than one slot.
     bool unit_demands = true;
     bool links_active = false;
-    bool cluster_constrains_links = false;
-    for (const Resource& r : cluster_.resources()) {
-      cluster_constrains_links |= r.net_capacity > 0;
-    }
+    const bool cluster_constrains_links = cluster_.links_constrained();
     bool placement_active = false;
     std::size_t live_tasks = 0;
     for (const LiveJob& lj : live) {

@@ -1,11 +1,9 @@
 #include "core/plan.h"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
-#include <tuple>
 
-#include "common/check.h"
+#include "common/schedule_check.h"
 
 namespace mrcp {
 
@@ -18,143 +16,75 @@ std::string Plan::to_string() const {
 
 std::string validate_plan(const Plan& plan, const Cluster& cluster,
                           const std::vector<const Job*>& jobs_by_id) {
-  bool links_constrained = false;
-  for (const Resource& r : cluster.resources()) {
-    links_constrained = links_constrained || r.net_capacity > 0;
-  }
-  // (resource, phase) -> time -> usage delta
-  std::map<std::pair<ResourceId, int>, std::map<Time, int>> deltas;
-  // Anti-affinity: (job, group, resource) -> first holder in the plan.
-  std::map<std::tuple<JobId, int, ResourceId>, const PlannedTask*>
-      group_holders;
-  // job -> latest map end / earliest reduce start in this plan
-  std::map<JobId, Time> latest_map_end;
-  std::map<JobId, Time> earliest_reduce_start;
-
+  std::vector<ScheduleRow> rows;
+  rows.reserve(plan.tasks.size());
   for (const PlannedTask& pt : plan.tasks) {
-    std::ostringstream where;
-    where << "job " << pt.job << " task " << pt.task_index << ": ";
+    const auto fail = [&pt](const char* what) {
+      return "job " + std::to_string(pt.job) + " task " +
+             std::to_string(pt.task_index) + ": " + what;
+    };
     if (pt.resource < 0 || pt.resource >= cluster.size()) {
-      return where.str() + "resource out of range";
+      return fail("resource out of range");
     }
     if (pt.start == kNoTime || pt.end <= pt.start) {
-      return where.str() + "bad interval";
+      return fail("bad interval");
     }
     if (pt.job < 0 || static_cast<std::size_t>(pt.job) >= jobs_by_id.size() ||
         jobs_by_id[static_cast<std::size_t>(pt.job)] == nullptr) {
-      return where.str() + "unknown job";
+      return fail("unknown job");
     }
     const Job& job = *jobs_by_id[static_cast<std::size_t>(pt.job)];
     if (pt.task_index < 0 ||
         static_cast<std::size_t>(pt.task_index) >= job.num_tasks()) {
-      return where.str() + "task index out of range";
+      return fail("task index out of range");
     }
     const Task& task = job.task(static_cast<std::size_t>(pt.task_index));
-    if (task.type != pt.type) return where.str() + "task type mismatch";
+    if (task.type != pt.type) return fail("task type mismatch");
     const Resource& host = cluster.resource(pt.resource);
     if (pt.duration() != host.scaled_duration(task.exec_time)) {
-      return where.str() +
-             "duration does not match task exec time scaled by the "
-             "resource speed";
+      return fail(
+          "duration does not match task exec time scaled by the resource "
+          "speed");
     }
+    // A started task was legal when it was placed: s_j clamping and
+    // placement constraints no longer bind it, nor do its workflow
+    // predecessors. It stays under the map->reduce barrier.
     if (!pt.started && pt.type == TaskType::kMap &&
         pt.start < job.earliest_start) {
-      return where.str() + "map scheduled before s_j";
+      return fail("map scheduled before s_j");
     }
-    if (!pt.started && !task.candidates.empty() &&
-        std::find(task.candidates.begin(), task.candidates.end(),
-                  pt.resource) == task.candidates.end()) {
-      return where.str() + "resource not among the task's candidates";
+    if (!pt.started && !host.admits(task)) {
+      return fail("resource outside the task's candidates or racks");
     }
-    if (!pt.started && !task.racks.empty() &&
-        std::find(task.racks.begin(), task.racks.end(), host.rack) ==
-            task.racks.end()) {
-      return where.str() + "resource outside the task's racks";
-    }
-    if (task.affinity_group >= 0) {
-      auto [it, inserted] = group_holders.try_emplace(
-          std::make_tuple(pt.job, task.affinity_group, pt.resource), &pt);
-      if (!inserted) {
-        return where.str() + "shares resource " + std::to_string(pt.resource) +
-               " with task " + std::to_string(it->second->task_index) +
-               " of the same anti-affinity group";
-      }
-    }
-    const int cap = host.capacity(pt.type);
-    if (cap < task.res_req) return where.str() + "resource lacks capacity";
-
-    deltas[{pt.resource, static_cast<int>(pt.type)}][pt.start] += task.res_req;
-    deltas[{pt.resource, static_cast<int>(pt.type)}][pt.end] -= task.res_req;
-    // Swept against every resource once links are constrained anywhere:
-    // a zero-capacity resource then rejects net demand instead of
-    // silently skipping the check.
-    if (task.net_demand > 0 && links_constrained) {
-      deltas[{pt.resource, 2}][pt.start] += task.net_demand;
-      deltas[{pt.resource, 2}][pt.end] -= task.net_demand;
-    }
-
-    if (pt.type == TaskType::kMap) {
-      auto [it, inserted] = latest_map_end.try_emplace(pt.job, pt.end);
-      if (!inserted) it->second = std::max(it->second, pt.end);
-    } else {
-      auto [it, inserted] = earliest_reduce_start.try_emplace(pt.job, pt.start);
-      if (!inserted) it->second = std::min(it->second, pt.start);
-    }
+    rows.push_back(
+        schedule_row(job, pt.task_index, pt.resource, pt.start, pt.end));
+    if (pt.started) rows.back().order = kBarrier;
   }
 
-  // Precedence: a plan may omit completed maps, in which case the reduce
-  // check is against the maps that are present only (the RM guarantees
-  // dropped maps ended before `planned_at` <= any unstarted reduce start).
-  for (const auto& [job, reduce_start] : earliest_reduce_start) {
-    auto it = latest_map_end.find(job);
-    if (it != latest_map_end.end() && reduce_start < it->second) {
-      return "job " + std::to_string(job) + ": reduce overlaps its map phase";
-    }
+  // Workflow edges between tasks present in the plan (a task listed twice
+  // resolves to its last row). A plan omits completed tasks, so the
+  // barrier covers the maps present only and edges with a completed
+  // endpoint drop out: the RM guarantees those tasks ended before
+  // `planned_at` <= any unstarted start.
+  std::map<std::pair<JobId, int>, std::size_t> row_of;
+  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
+    row_of[{plan.tasks[i].job, plan.tasks[i].task_index}] = i;
   }
-
-  // Workflow precedences between tasks present in the plan (edges with a
-  // completed endpoint were filtered by the RM and are satisfied).
-  {
-    std::map<std::pair<JobId, int>, const PlannedTask*> by_key;
-    std::map<JobId, const Job*> jobs_in_plan;
-    for (const PlannedTask& pt : plan.tasks) {
-      by_key[{pt.job, pt.task_index}] = &pt;
-      jobs_in_plan.emplace(pt.job,
-                           jobs_by_id[static_cast<std::size_t>(pt.job)]);
-    }
-    for (const auto& [job_id, job] : jobs_in_plan) {
-      for (const auto& [before, after] : job->precedences) {
-        const auto b = by_key.find({job_id, before});
-        const auto a = by_key.find({job_id, after});
-        if (b == by_key.end() || a == by_key.end()) continue;
-        if (!a->second->started && a->second->start < b->second->end) {
-          return "job " + std::to_string(job_id) +
-                 ": workflow precedence violated in plan";
-        }
+  std::vector<RowEdge> edges;
+  JobId job_id = kNoJob;
+  for (const auto& entry : row_of) {
+    if (entry.first.first == job_id) continue;
+    job_id = entry.first.first;
+    for (const auto& [before, after] :
+         jobs_by_id[static_cast<std::size_t>(job_id)]->precedences) {
+      const auto b = row_of.find({job_id, before});
+      const auto a = row_of.find({job_id, after});
+      if (b != row_of.end() && a != row_of.end()) {
+        edges.push_back({b->second, a->second});
       }
     }
   }
-
-  for (const auto& [key, delta] : deltas) {
-    const Resource& r = cluster.resource(key.first);
-    const int cap = key.second == 2
-                        ? r.net_capacity
-                        : r.capacity(static_cast<TaskType>(key.second));
-    int usage = 0;
-    for (const auto& [time, d] : delta) {
-      usage += d;
-      if (usage > cap) {
-        std::ostringstream os;
-        os << "resource " << key.first << " "
-           << (key.second == 2   ? "net"
-               : key.second == 0 ? "map"
-                                 : "reduce")
-           << " capacity exceeded at t=" << time;
-        return os.str();
-      }
-    }
-  }
-  return "";
+  return check_schedule(rows, cluster.capacity_table(), edges);
 }
 
 }  // namespace mrcp

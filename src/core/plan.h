@@ -44,11 +44,12 @@ struct Plan {
   std::string to_string() const;
 };
 
-/// Validate a plan against a cluster and the jobs it schedules: capacity
-/// sweeps per (resource, phase), map-before-reduce per job, earliest
-/// start times for tasks that have not started, matching durations.
-/// `jobs` maps job id -> Job for every job appearing in the plan.
-/// Returns empty string when the plan is consistent.
+/// Validate a plan against a cluster and the jobs it schedules: matching
+/// host-scaled durations, plus s_j and placement constraints for tasks
+/// that have not started, then the shared checks of check_schedule
+/// (capacity, barrier, precedences of unstarted tasks, anti-affinity).
+/// `jobs_by_id` maps job id -> Job for every job in the plan. Returns
+/// empty string when the plan is consistent.
 std::string validate_plan(const Plan& plan, const Cluster& cluster,
                           const std::vector<const Job*>& jobs_by_id);
 

@@ -1,10 +1,9 @@
 #include "cp/solution.h"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/schedule_check.h"
 
 namespace mrcp::cp {
 
@@ -36,130 +35,69 @@ void evaluate_solution(const Model& model, Solution& sol) {
   sol.valid = true;
 }
 
-namespace {
-std::string err(const std::string& what) { return what; }
-}  // namespace
-
 std::string validate_solution(const Model& model, const Solution& sol) {
   if (sol.placements.size() != model.num_tasks()) {
-    return err("placement count != task count");
+    return "placement count != task count";
   }
-  // Per-(resource, phase) usage sweeps.
-  std::map<std::pair<CpResourceIndex, int>, std::map<Time, int>> deltas;
-
+  std::vector<ScheduleRow> rows;
+  rows.reserve(model.num_tasks());
+  std::vector<RowEdge> edges;
   for (std::size_t ti = 0; ti < model.num_tasks(); ++ti) {
-    const CpTask& t = model.task(static_cast<CpTaskIndex>(ti));
+    const auto task = static_cast<CpTaskIndex>(ti);
+    const CpTask& t = model.task(task);
     const TaskPlacement& p = sol.placements[ti];
-    const std::string where = "task " + std::to_string(ti) + ": ";
-    if (!p.decided()) return where + "undecided";
+    const auto fail = [ti](const char* what) {
+      return "task " + std::to_string(ti) + ": " + what;
+    };
+    if (!p.decided()) return fail("undecided");
     if (p.resource < 0 ||
         static_cast<std::size_t>(p.resource) >= model.num_resources()) {
-      return where + "resource out of range";
+      return fail("resource out of range");
     }
     // Constraint 1/7: the chosen resource must be a candidate.
     if (!t.candidates.empty() &&
         std::find(t.candidates.begin(), t.candidates.end(), p.resource) ==
             t.candidates.end()) {
-      return where + "resource not among candidates";
+      return fail("resource not among candidates");
     }
-    if (t.pinned && (p.resource != t.pinned_resource || p.start != t.pinned_start)) {
-      return where + "pinning violated";
+    if (t.pinned &&
+        (p.resource != t.pinned_resource || p.start != t.pinned_start)) {
+      return fail("pinning violated");
     }
     // Constraint 2: map tasks start at/after s_j (pinned tasks exempt,
     // paper §V.B line 12).
-    const CpJob& j = model.job(t.job);
-    if (!t.pinned && t.phase == Phase::kMap && p.start < j.earliest_start) {
-      return where + "map starts before s_j";
+    if (!t.pinned && t.phase == Phase::kMap &&
+        p.start < model.job(t.job).earliest_start) {
+      return fail("map starts before s_j");
     }
-    if (p.start < Time{0}) return where + "negative start";
-    const Time dur =
-        model.duration_on(static_cast<CpTaskIndex>(ti), p.resource);
-    deltas[{p.resource, static_cast<int>(t.phase)}][p.start] += t.demand;
-    deltas[{p.resource, static_cast<int>(t.phase)}][p.start + dur] -= t.demand;
-    // Third sweep dimension (key 2): per-resource network-link usage.
-    // Swept whenever the cluster constrains links at all — placing a
-    // net-demanding task on a zero-capacity resource must *fail* the
-    // sweep, not skip it.
-    if (t.net_demand > 0 && model.links_constrained()) {
-      deltas[{p.resource, 2}][p.start] += t.net_demand;
-      deltas[{p.resource, 2}][p.start + dur] -= t.net_demand;
-    }
-  }
-
-  // Anti-affinity: tasks sharing a group must sit on distinct resources.
-  if (model.num_affinity_groups() > 0) {
-    std::map<std::pair<int, CpResourceIndex>, std::size_t> group_holders;
-    for (std::size_t ti = 0; ti < model.num_tasks(); ++ti) {
-      const CpTask& t = model.task(static_cast<CpTaskIndex>(ti));
-      if (t.affinity_group < 0) continue;
-      const auto key =
-          std::make_pair(t.affinity_group, sol.placements[ti].resource);
-      const auto [it, inserted] = group_holders.emplace(key, ti);
-      if (!inserted) {
-        return "task " + std::to_string(ti) + ": shares resource " +
-               std::to_string(sol.placements[ti].resource) +
-               " with task " + std::to_string(it->second) +
-               " of affinity group " + std::to_string(t.affinity_group);
-      }
+    if (p.start < Time{0}) return fail("negative start");
+    // A pinned task runs since before the re-plan: its end still bounds
+    // its successors, but it answers to neither the barrier nor its own
+    // predecessors.
+    const bool map = t.phase == Phase::kMap;
+    rows.push_back({.job = t.job,
+                    .task = task,
+                    .resource = p.resource,
+                    .dim = map ? SlotDim::kMap : SlotDim::kReduce,
+                    .start = p.start,
+                    .end = p.start + model.duration_on(task, p.resource),
+                    .demand = t.demand,
+                    .net_demand = t.net_demand,
+                    .affinity_group = t.affinity_group,
+                    .order = static_cast<std::uint8_t>(
+                        !t.pinned ? kBarrier | kPrecedence
+                        : map     ? kBarrier
+                                  : 0)});
+    for (CpTaskIndex pred : model.predecessors(task)) {
+      edges.push_back({static_cast<std::size_t>(pred), ti});
     }
   }
-
-  // User precedences (workflow DAG extension).
-  for (std::size_t ti = 0; ti < model.num_tasks(); ++ti) {
-    const auto task = static_cast<CpTaskIndex>(ti);
-    if (model.task(task).pinned) continue;  // running before the re-plan
-    for (CpTaskIndex p : model.predecessors(task)) {
-      const auto& pred_p = sol.placements[static_cast<std::size_t>(p)];
-      if (sol.placements[ti].start <
-          pred_p.start + model.duration_on(p, pred_p.resource)) {
-        return "task " + std::to_string(ti) +
-               ": starts before its predecessor ends";
-      }
-    }
+  std::vector<ResourceCapacity> capacity;
+  capacity.reserve(model.num_resources());
+  for (const CpResource& r : model.resources()) {
+    capacity.push_back({r.map_capacity, r.reduce_capacity, r.net_capacity});
   }
-
-  // Constraint 3: reduces after all maps of the job.
-  for (std::size_t ji = 0; ji < model.num_jobs(); ++ji) {
-    const CpJob& j = model.job(static_cast<CpJobIndex>(ji));
-    Time latest_map_end{};
-    for (CpTaskIndex m : j.map_tasks) {
-      const auto& p = sol.placements[static_cast<std::size_t>(m)];
-      latest_map_end =
-          std::max(latest_map_end, p.start + model.duration_on(m, p.resource));
-    }
-    for (CpTaskIndex r : j.reduce_tasks) {
-      const CpTask& rt = model.task(r);
-      const auto& p = sol.placements[static_cast<std::size_t>(r)];
-      if (!rt.pinned && p.start < latest_map_end) {
-        return "job " + std::to_string(ji) + ": reduce starts before map ends";
-      }
-    }
-  }
-
-  // Constraints 5/6 (and the network dimension): capacity sweeps.
-  for (const auto& [key, delta] : deltas) {
-    const CpResource& r = model.resource(key.first);
-    const int cap = key.second == 2 ? r.net_capacity
-                    : key.second == static_cast<int>(Phase::kMap)
-                        ? r.map_capacity
-                        : r.reduce_capacity;
-    int usage = 0;
-    for (const auto& [time, d] : delta) {
-      usage += d;
-      if (usage > cap) {
-        std::ostringstream os;
-        os << "resource " << key.first << " "
-           << (key.second == 2   ? "net"
-               : key.second == 0 ? "map"
-                                 : "reduce")
-           << " capacity exceeded at t=" << time << " (" << usage << " > "
-           << cap << ")";
-        return os.str();
-      }
-    }
-    if (usage != 0) return err("internal sweep error: usage does not return to 0");
-  }
-  return "";
+  return check_schedule(rows, capacity, edges);
 }
 
 }  // namespace mrcp::cp

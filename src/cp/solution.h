@@ -40,12 +40,10 @@ struct Solution {
 void evaluate_solution(const Model& model, Solution& sol);
 
 /// Full validation against every constraint of the model (Table 1):
-///   (1/7) each task on exactly one candidate resource,
-///   (2)   map starts >= s_j (non-pinned tasks),
-///   (3)   reduce starts >= all map ends of the job,
-///   (5/6) per-resource per-phase capacity respected at all times,
-///   pinning respected, demands within capacity.
-/// Returns empty string if the solution satisfies all of them.
+/// (1/7) candidate resources, pinning, (2) s_j for unpinned maps, then the
+/// shared checks of check_schedule — (3) the barrier and workflow
+/// precedences (pinned tasks exempt), (5/6) slot and link capacity, and
+/// anti-affinity. Returns empty string if the solution satisfies all.
 std::string validate_solution(const Model& model, const Solution& sol);
 
 }  // namespace mrcp::cp

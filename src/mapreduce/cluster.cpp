@@ -7,6 +7,32 @@
 
 namespace mrcp {
 
+bool Resource::admits(const Task& task) const {
+  return (task.candidates.empty() ||
+          std::find(task.candidates.begin(), task.candidates.end(), id) !=
+              task.candidates.end()) &&
+         (task.racks.empty() ||
+          std::find(task.racks.begin(), task.racks.end(), rack) !=
+              task.racks.end());
+}
+
+ScheduleRow schedule_row(const Job& job, int task_index, ResourceId resource,
+                         Time start, Time end) {
+  const Task& task = job.task(static_cast<std::size_t>(task_index));
+  return {.job = job.id,
+          .task = task_index,
+          .resource = resource,
+          .dim = task.type == TaskType::kMap ? SlotDim::kMap : SlotDim::kReduce,
+          .start = start,
+          .end = end,
+          .demand = task.res_req,
+          .net_demand = task.net_demand,
+          .affinity_group = task.affinity_group < 0
+                                ? -1
+                                : (std::int64_t{job.id} << 32) +
+                                      task.affinity_group};
+}
+
 Cluster Cluster::homogeneous(int m, int map_capacity, int reduce_capacity,
                              int net_capacity) {
   MRCP_CHECK(m >= 1);
@@ -51,6 +77,20 @@ void Cluster::set_resource_capacity(ResourceId id, int map_capacity,
   total_reduce_slots_ += reduce_capacity - r.reduce_capacity;
   r.map_capacity = map_capacity;
   r.reduce_capacity = reduce_capacity;
+}
+
+bool Cluster::links_constrained() const {
+  return std::any_of(resources_.begin(), resources_.end(),
+                     [](const Resource& r) { return r.net_capacity > 0; });
+}
+
+std::vector<ResourceCapacity> Cluster::capacity_table() const {
+  std::vector<ResourceCapacity> table;
+  table.reserve(resources_.size());
+  for (const Resource& r : resources_) {
+    table.push_back({r.map_capacity, r.reduce_capacity, r.net_capacity});
+  }
+  return table;
 }
 
 const Resource& Cluster::resource(ResourceId id) const {

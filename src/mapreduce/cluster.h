@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/schedule_check.h"
 #include "common/types.h"
 #include "mapreduce/job.h"
 
@@ -36,6 +37,9 @@ struct Resource {
   Time scaled_duration(Time base) const {
     return scale_duration(base, speed_permille);
   }
+
+  /// True when `task`'s candidate and rack sets both admit this machine.
+  bool admits(const Task& task) const;
 };
 
 class Cluster {
@@ -87,6 +91,14 @@ class Cluster {
   /// True if some rack id equals `rack`.
   bool has_rack(int rack) const;
 
+  /// True when any resource has link capacity: net demand is then
+  /// constrained on every resource, and a zero-capacity one has none.
+  bool links_constrained() const;
+
+  /// Per-resource (map, reduce, net) capacities, indexed by resource id:
+  /// the capacity table of check_schedule.
+  std::vector<ResourceCapacity> capacity_table() const;
+
   std::string to_string() const;
 
  private:
@@ -94,5 +106,11 @@ class Cluster {
   int total_map_slots_ = 0;
   int total_reduce_slots_ = 0;
 };
+
+/// The check_schedule row of task `task_index` of `job` run on
+/// `resource` over [start, end), held to the barrier and to its workflow
+/// predecessors.
+ScheduleRow schedule_row(const Job& job, int task_index, ResourceId resource,
+                         Time start, Time end);
 
 }  // namespace mrcp

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
-#include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "baseline/minedf_wc.h"
@@ -37,16 +34,7 @@ std::vector<JobRecord> make_records(const Workload& workload) {
 }  // namespace internal
 
 namespace {
-
 using internal::make_records;
-
-bool cluster_constrains_links(const Cluster& cluster) {
-  for (const Resource& r : cluster.resources()) {
-    if (r.net_capacity > 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string validate_execution(const Workload& workload,
@@ -55,75 +43,21 @@ std::string validate_execution(const Workload& workload,
                                const std::vector<DownInterval>& downtime) {
   // Every task of every job executed successfully exactly once (killed
   // attempts are extra occupancy on top, never a completion).
-  std::size_t expected = 0;
-  for (const Job& j : workload.jobs) expected += j.num_tasks();
-  if (executed.size() != expected) {
-    std::ostringstream os;
-    os << "executed " << executed.size() << " tasks, expected " << expected;
-    return os.str();
+  std::vector<std::size_t> first_task(workload.jobs.size() + 1, 0);
+  for (std::size_t j = 0; j < workload.jobs.size(); ++j) {
+    first_task[j + 1] = first_task[j] + workload.jobs[j].num_tasks();
   }
-  // When any resource constrains its links, a net-demanding task *must*
-  // be swept against its resource's link capacity — a zero-capacity
-  // resource then has no room for it (rather than silently skipping).
-  const bool links_constrained = cluster_constrains_links(workload.cluster);
-  std::map<std::pair<JobId, int>, const ExecutedTask*> seen;
-  std::map<std::pair<ResourceId, int>, std::map<Time, int>> deltas;
-  std::map<JobId, Time> latest_map_end;
-
-  for (const ExecutedTask& et : executed) {
-    std::ostringstream where;
-    where << "job " << et.job << " task " << et.task_index << ": ";
-    if (et.job < 0 || static_cast<std::size_t>(et.job) >= workload.jobs.size()) {
-      return where.str() + "unknown job";
-    }
-    const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
-    if (et.task_index < 0 ||
-        static_cast<std::size_t>(et.task_index) >= job.num_tasks()) {
-      return where.str() + "bad task index";
-    }
-    if (!seen.emplace(std::make_pair(et.job, et.task_index), &et).second) {
-      return where.str() + "executed twice";
-    }
-    const Task& task = job.task(static_cast<std::size_t>(et.task_index));
-    if (et.resource < 0 || et.resource >= workload.cluster.size()) {
-      return where.str() + "bad resource";
-    }
-    const Resource& host = workload.cluster.resource(et.resource);
-    // A task's observed duration is its exec time scaled by the host's
-    // speed factor — a fast machine must finish early, a slow one late.
-    if (et.end - et.start != host.scaled_duration(task.exec_time)) {
-      return where.str() + "wrong duration for the host's speed";
-    }
-    if (et.start < job.earliest_start) {
-      return where.str() + "started before s_j";
-    }
-    if (!task.candidates.empty() &&
-        std::find(task.candidates.begin(), task.candidates.end(),
-                  et.resource) == task.candidates.end()) {
-      return where.str() + "ran outside its candidate resources";
-    }
-    if (!task.racks.empty() &&
-        std::find(task.racks.begin(), task.racks.end(), host.rack) ==
-            task.racks.end()) {
-      return where.str() + "ran outside its eligible racks";
-    }
-    deltas[{et.resource, static_cast<int>(task.type)}][et.start] += task.res_req;
-    deltas[{et.resource, static_cast<int>(task.type)}][et.end] -= task.res_req;
-    if (task.net_demand > 0 && links_constrained) {
-      deltas[{et.resource, 2}][et.start] += task.net_demand;
-      deltas[{et.resource, 2}][et.end] -= task.net_demand;
-    }
-    if (task.type == TaskType::kMap) {
-      auto [it, inserted] = latest_map_end.try_emplace(et.job, et.end);
-      if (!inserted) it->second = std::max(it->second, et.end);
-    }
+  if (executed.size() != first_task.back()) {
+    return "executed " + std::to_string(executed.size()) +
+           " tasks, expected " + std::to_string(first_task.back());
   }
+  const Cluster& cluster = workload.cluster;
 
   // Downtime intervals, grouped per resource.
   std::vector<std::vector<const DownInterval*>> down_by_res(
-      static_cast<std::size_t>(workload.cluster.size()));
+      static_cast<std::size_t>(cluster.size()));
   for (const DownInterval& d : downtime) {
-    if (d.resource < 0 || d.resource >= workload.cluster.size()) {
+    if (d.resource < 0 || d.resource >= cluster.size()) {
       return "downtime interval with bad resource";
     }
     if (d.end != kNoTime && d.end <= d.start) {
@@ -132,138 +66,90 @@ std::string validate_execution(const Workload& workload,
     down_by_res[static_cast<std::size_t>(d.resource)].push_back(&d);
   }
 
-  // Killed attempts: partial occupancy ending exactly at a failure of
-  // their resource. They join the capacity sweeps — a slot lost mid-task
-  // was still a slot held.
-  for (const ExecutedTask& k : killed) {
-    std::ostringstream where;
-    where << "killed attempt job " << k.job << " task " << k.task_index << ": ";
-    if (k.job < 0 || static_cast<std::size_t>(k.job) >= workload.jobs.size()) {
-      return where.str() + "unknown job";
+  std::vector<ScheduleRow> rows;
+  rows.reserve(executed.size() + killed.size());
+  // row_of[first_task[job] + task] = row of that task's successful run.
+  std::vector<std::size_t> row_of(executed.size(), executed.size());
+  for (std::size_t i = 0; i < executed.size() + killed.size(); ++i) {
+    const bool was_killed = i >= executed.size();
+    const ExecutedTask& et =
+        was_killed ? killed[i - executed.size()] : executed[i];
+    const auto fail = [&](const std::string& what) {
+      return (was_killed ? "killed attempt job " : "job ") +
+             std::to_string(et.job) + " task " +
+             std::to_string(et.task_index) + ": " + what;
+    };
+    if (et.job < 0 ||
+        static_cast<std::size_t>(et.job) >= workload.jobs.size()) {
+      return fail("unknown job");
     }
-    const Job& job = workload.jobs[static_cast<std::size_t>(k.job)];
-    if (k.task_index < 0 ||
-        static_cast<std::size_t>(k.task_index) >= job.num_tasks()) {
-      return where.str() + "bad task index";
+    const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
+    if (et.task_index < 0 ||
+        static_cast<std::size_t>(et.task_index) >= job.num_tasks()) {
+      return fail("bad task index");
     }
-    if (k.resource < 0 || k.resource >= workload.cluster.size()) {
-      return where.str() + "bad resource";
+    if (et.resource < 0 || et.resource >= cluster.size()) {
+      return fail("bad resource");
     }
-    const Task& task = job.task(static_cast<std::size_t>(k.task_index));
-    const Resource& k_host = workload.cluster.resource(k.resource);
-    if (k.end < k.start) return where.str() + "negative attempt length";
-    if (k.end - k.start >= k_host.scaled_duration(task.exec_time)) {
-      return where.str() + "attempt ran to completion yet counts as killed";
+    const Task& task = job.task(static_cast<std::size_t>(et.task_index));
+    const Resource& host = cluster.resource(et.resource);
+    if (!host.admits(task)) {
+      return fail("ran outside its candidate resources or racks");
     }
-    if (!task.candidates.empty() &&
-        std::find(task.candidates.begin(), task.candidates.end(),
-                  k.resource) == task.candidates.end()) {
-      return where.str() + "attempt ran outside its candidate resources";
+    // An uninterrupted run lasts the task's exec time scaled by the host's
+    // speed factor — a fast machine must finish early, a slow one late.
+    const Time run_time = host.scaled_duration(task.exec_time);
+    const auto& downs = down_by_res[static_cast<std::size_t>(et.resource)];
+    ScheduleRow& row = rows.emplace_back(
+        schedule_row(job, et.task_index, et.resource, et.start, et.end));
+    if (was_killed) {
+      // Partial occupancy ending exactly at a failure of its resource. It
+      // holds capacity — a slot lost mid-task was still a slot held — but
+      // orders nothing, and is exempt from anti-affinity: a kill releases
+      // the host, so the re-run may land where a failed sibling attempt
+      // once sat.
+      if (et.end < et.start) return fail("negative attempt length");
+      if (et.end - et.start >= run_time) {
+        return fail("attempt ran to completion yet counts as killed");
+      }
+      if (std::none_of(downs.begin(), downs.end(), [&](const DownInterval* d) {
+            return d->start == et.end;
+          })) {
+        return fail("kill time matches no failure of its resource");
+      }
+      row.affinity_group = -1;
+      row.order = 0;
+      continue;
     }
-    if (!task.racks.empty() &&
-        std::find(task.racks.begin(), task.racks.end(), k_host.rack) ==
-            task.racks.end()) {
-      return where.str() + "attempt ran outside its eligible racks";
+    std::size_t& slot = row_of[first_task[static_cast<std::size_t>(et.job)] +
+                               static_cast<std::size_t>(et.task_index)];
+    if (slot != executed.size()) return fail("executed twice");
+    slot = i;
+    if (et.end - et.start != run_time) {
+      return fail("wrong duration for the host's speed");
     }
-    bool at_failure = false;
-    for (const DownInterval* d : down_by_res[static_cast<std::size_t>(k.resource)]) {
-      at_failure = at_failure || d->start == k.end;
-    }
-    if (!at_failure) {
-      return where.str() + "kill time matches no failure of its resource";
-    }
-    deltas[{k.resource, static_cast<int>(task.type)}][k.start] += task.res_req;
-    deltas[{k.resource, static_cast<int>(task.type)}][k.end] -= task.res_req;
-    if (task.net_demand > 0 && links_constrained) {
-      deltas[{k.resource, 2}][k.start] += task.net_demand;
-      deltas[{k.resource, 2}][k.end] -= task.net_demand;
-    }
-  }
-
-  // No successful interval may overlap its resource's downtime.
-  for (const ExecutedTask& et : executed) {
-    for (const DownInterval* d : down_by_res[static_cast<std::size_t>(et.resource)]) {
+    // Unlike a plan or a CP solution, an execution has no started-task
+    // exemption: every task, maps and reduces alike, starts at s_j or later.
+    if (et.start < job.earliest_start) return fail("started before s_j");
+    for (const DownInterval* d : downs) {
       const Time down_end = d->end == kNoTime ? kMaxTime : d->end;
       if (et.start < down_end && d->start < et.end) {
-        std::ostringstream os;
-        os << "job " << et.job << " task " << et.task_index
-           << " ran during downtime of resource " << et.resource;
-        return os.str();
+        return fail("ran during downtime of resource " +
+                    std::to_string(et.resource));
       }
     }
   }
 
-  // Precedence: reduces strictly after all maps of the job.
-  for (const ExecutedTask& et : executed) {
-    const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
-    const Task& task = job.task(static_cast<std::size_t>(et.task_index));
-    if (task.type == TaskType::kReduce) {
-      auto it = latest_map_end.find(et.job);
-      if (it != latest_map_end.end() && et.start < it->second) {
-        return "job " + std::to_string(et.job) +
-               ": reduce started before all maps finished";
-      }
+  // Workflow edges (user-specified DAG): every endpoint ran exactly once.
+  std::vector<RowEdge> edges;
+  for (std::size_t j = 0; j < workload.jobs.size(); ++j) {
+    const std::size_t first = first_task[j];
+    for (const auto& [before, after] : workload.jobs[j].precedences) {
+      edges.push_back({row_of[first + static_cast<std::size_t>(before)],
+                       row_of[first + static_cast<std::size_t>(after)]});
     }
   }
-  // Workflow precedences (user-specified DAG edges).
-  {
-    std::map<std::pair<JobId, int>, const ExecutedTask*> by_key;
-    for (const ExecutedTask& et : executed) {
-      by_key[{et.job, et.task_index}] = &et;
-    }
-    for (const Job& job : workload.jobs) {
-      for (const auto& [before, after] : job.precedences) {
-        const ExecutedTask* b = by_key.at({job.id, before});
-        const ExecutedTask* a = by_key.at({job.id, after});
-        if (a->start < b->end) {
-          return "job " + std::to_string(job.id) +
-                 ": workflow precedence violated in execution";
-        }
-      }
-    }
-  }
-  // Anti-affinity: a job's group members must *complete* on pairwise
-  // distinct resources. Killed attempts are exempt — a kill releases the
-  // host, and the re-run may legally land where a failed sibling attempt
-  // once sat.
-  {
-    std::map<std::tuple<JobId, int, ResourceId>, const ExecutedTask*> holders;
-    for (const ExecutedTask& et : executed) {
-      const Job& job = workload.jobs[static_cast<std::size_t>(et.job)];
-      const Task& task = job.task(static_cast<std::size_t>(et.task_index));
-      if (task.affinity_group < 0) continue;
-      const auto [it, inserted] = holders.try_emplace(
-          std::make_tuple(et.job, task.affinity_group, et.resource), &et);
-      if (!inserted) {
-        return "job " + std::to_string(et.job) + " task " +
-               std::to_string(et.task_index) + ": shares resource " +
-               std::to_string(et.resource) + " with task " +
-               std::to_string(it->second->task_index) +
-               " of the same anti-affinity group";
-      }
-    }
-  }
-  // Capacity sweeps (map slots, reduce slots, network links).
-  for (const auto& [key, delta] : deltas) {
-    const Resource& r = workload.cluster.resource(key.first);
-    const int cap = key.second == 2
-                        ? r.net_capacity
-                        : r.capacity(static_cast<TaskType>(key.second));
-    int usage = 0;
-    for (const auto& [time, d] : delta) {
-      usage += d;
-      if (usage > cap) {
-        std::ostringstream os;
-        os << "resource " << key.first << " "
-           << (key.second == 2   ? "net"
-               : key.second == 0 ? "map"
-                                 : "reduce")
-           << " over capacity at t=" << time;
-        return os.str();
-      }
-    }
-  }
-  return "";
+  return check_schedule(rows, cluster.capacity_table(), edges);
 }
 
 std::string validate_execution(const Workload& workload,
@@ -372,20 +258,9 @@ SimMetrics simulate_minedf(const Workload& workload,
           taken = &group_taken[{job_id, task.affinity_group}];
         }
         auto eligible = [&](ResourceId r) {
-          if (!task.candidates.empty() &&
-              std::find(task.candidates.begin(), task.candidates.end(), r) ==
-                  task.candidates.end()) {
-            return false;
-          }
-          if (!task.racks.empty()) {
-            const int rack = w.cluster.resource(r).rack;
-            if (std::find(task.racks.begin(), task.racks.end(), rack) ==
-                task.racks.end()) {
-              return false;
-            }
-          }
-          return taken == nullptr ||
-                 std::find(taken->begin(), taken->end(), r) == taken->end();
+          return w.cluster.resource(r).admits(task) &&
+                 (taken == nullptr ||
+                  std::find(taken->begin(), taken->end(), r) == taken->end());
         };
         std::size_t slot = slots.size();
         int best_speed = -1;

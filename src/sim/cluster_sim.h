@@ -15,11 +15,13 @@
 //   simulate_minedf  — dynamic. Arrivals and task completions drive the
 //                      MinEDF-WC dispatch loop directly.
 //
-// With validate_execution on, every executed task interval is checked
-// after the run: per-resource per-phase capacity sweeps, map-before-
-// reduce precedence, earliest start times, and exact durations. This is
-// the simulation's ground truth — a resource manager bug cannot hide
-// behind its own bookkeeping.
+// With validate_execution on, the executed trace is checked after the
+// run (exactly-once completion, s_j, host-scaled durations, candidates
+// and racks, downtime, kills at failures) and then by the shared
+// schedule checker: slot and link capacity, the map→reduce barrier,
+// workflow precedences and anti-affinity. This is the simulation's
+// ground truth — a resource manager bug cannot hide behind its own
+// bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -81,15 +83,13 @@ SimMetrics simulate_minedf(const Workload& workload,
                            const baseline::MinEdfConfig& config = {},
                            const SimOptions& options = {});
 
-/// Shared validation helper (exposed for tests): checks executed
-/// intervals against the workload. Empty string when consistent.
+/// Checks executed intervals against the workload (see the header
+/// comment). Empty string when consistent.
 std::string validate_execution(const Workload& workload,
                                const std::vector<ExecutedTask>& executed);
 
-/// Fault-aware variant: killed attempts join the capacity sweeps (they
-/// held slots until their kill time, which must coincide with a failure
-/// of their resource), and no successful interval may overlap its
-/// resource's downtime.
+/// Fault-aware variant: killed attempts hold capacity until their kill
+/// time, and no successful interval may overlap its resource's downtime.
 std::string validate_execution(const Workload& workload,
                                const std::vector<ExecutedTask>& executed,
                                const std::vector<ExecutedTask>& killed,

@@ -63,6 +63,12 @@ TEST(ValidatePlan, CatchesCapacityOverload) {
   Plan p = f.good_plan();
   p.tasks[1].resource = 0;  // both maps on the single-slot resource 0
   EXPECT_NE(validate_plan(p, f.cluster, f.jobs_by_id), "");
+  // Back to back at full slot capacity is fine.
+  p.tasks[1].start = Time{100};
+  p.tasks[1].end = Time{300};
+  p.tasks[2].start = Time{300};
+  p.tasks[2].end = Time{600};
+  EXPECT_EQ(validate_plan(p, f.cluster, f.jobs_by_id), "");
 }
 
 TEST(ValidatePlan, CatchesReduceBeforeMaps) {
@@ -70,6 +76,9 @@ TEST(ValidatePlan, CatchesReduceBeforeMaps) {
   Plan p = f.good_plan();
   p.tasks[2].start = Time{150};  // map 1 ends at 200
   p.tasks[2].end = Time{450};
+  EXPECT_NE(validate_plan(p, f.cluster, f.jobs_by_id), "");
+  // A started reduce is still held to the barrier.
+  p.tasks[2].started = true;
   EXPECT_NE(validate_plan(p, f.cluster, f.jobs_by_id), "");
 }
 
@@ -111,6 +120,10 @@ TEST(ValidatePlan, ChecksWorkflowPrecedences) {
       {0, 1, TaskType::kMap, 1, Time{50}, Time{150}, false},  // overlaps its pred
   };
   EXPECT_NE(validate_plan(p, cluster, jobs_by_id), "");
+  // A started successor was legal when placed: exempt.
+  p.tasks[1].started = true;
+  EXPECT_EQ(validate_plan(p, cluster, jobs_by_id), "");
+  p.tasks[1].started = false;
   p.tasks[1].start = Time{100};
   p.tasks[1].end = Time{200};
   EXPECT_EQ(validate_plan(p, cluster, jobs_by_id), "");
@@ -129,6 +142,37 @@ TEST(ValidatePlan, ChecksNetworkCapacity) {
   EXPECT_NE(validate_plan(p, cluster, jobs_by_id), "");
   p.tasks[1].start = Time{100};
   p.tasks[1].end = Time{200};
+  EXPECT_EQ(validate_plan(p, cluster, jobs_by_id), "");
+}
+
+TEST(ValidatePlan, NetDemandOnZeroCapacityResourceFails) {
+  // Resource 1 models links, so links are constrained cluster-wide and
+  // resource 0 has no room for net demand.
+  Job job = make_job(0, Time{0}, Time{0}, Time{10000}, {Time{100}}, {});
+  job.map_tasks[0].net_demand = 1;
+  Cluster cluster;
+  cluster.add_resource(1, 1, /*net_capacity=*/0);
+  cluster.add_resource(1, 1, /*net_capacity=*/1);
+  std::vector<const Job*> jobs_by_id{&job};
+  Plan p;
+  p.tasks = {{0, 0, TaskType::kMap, 0, Time{0}, Time{100}, false}};
+  EXPECT_NE(validate_plan(p, cluster, jobs_by_id), "");
+  p.tasks[0].resource = 1;
+  EXPECT_EQ(validate_plan(p, cluster, jobs_by_id), "");
+}
+
+TEST(ValidatePlan, CatchesAntiAffinityViolation) {
+  Job job = make_job(0, Time{0}, Time{0}, Time{10000}, {Time{100}, Time{100}}, {});
+  for (Task& t : job.map_tasks) t.affinity_group = 0;
+  Cluster cluster = Cluster::homogeneous(2, 1, 1);
+  std::vector<const Job*> jobs_by_id{&job};
+  Plan p;
+  p.tasks = {
+      {0, 0, TaskType::kMap, 0, Time{0}, Time{100}, true},
+      {0, 1, TaskType::kMap, 0, Time{100}, Time{200}, false},
+  };
+  EXPECT_NE(validate_plan(p, cluster, jobs_by_id), "");
+  p.tasks[1].resource = 1;
   EXPECT_EQ(validate_plan(p, cluster, jobs_by_id), "");
 }
 

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# Self-test of the static-analysis layer: every custom rule — the four
-# grep rules in scripts/lint.sh and the four structural rules in
-# mrcp-lint — must flag its fixture, and the clean fixture must flag
-# nothing. A rule that silently stops matching (pattern typo, regex
-# drift, refactored lexer) fails this test, which runs as a ctest.
+# Self-test of the custom lint layer: every mrcp-lint rule must flag its
+# fixture an exact number of times, and the clean fixture must flag
+# nothing. A rule that silently stops matching (regex drift, refactored
+# lexer) or starts over-matching fails this test, which runs as a ctest.
 #
 # Usage: run_lint_fixtures.sh <path-to-mrcp-lint-binary>
 set -uo pipefail
 cd "$(dirname "$0")"
 
 MRCP_LINT="${1:?usage: $0 <mrcp-lint binary>}"
-REPO_ROOT="$(cd ../.. && pwd)"
 fail=0
 
 note() { echo "lint-fixtures: $*"; }
@@ -19,43 +17,6 @@ die() {
   fail=1
 }
 
-# --------------------------------------------------------------------------
-# Grep rules: re-create each pattern exactly as scripts/lint.sh defines it
-# (sourcing the definitions keeps this in sync by construction).
-# --------------------------------------------------------------------------
-declare -A GREP_RULE GREP_FIXTURE
-GREP_RULE[no-std-rand]='\bstd::rand\b|\bsrand\s*\('
-GREP_FIXTURE[no-std-rand]=fixture_no_std_rand.cc
-GREP_RULE[no-unseeded-rng]='std::mt19937(_64)?\s+[A-Za-z_][A-Za-z0-9_]*\s*;|std::random_device'
-GREP_FIXTURE[no-unseeded-rng]=fixture_no_unseeded_rng.cc
-GREP_RULE[no-naked-new]='=\s*new\s+[A-Za-z_]|return\s+new\s+[A-Za-z_]'
-GREP_FIXTURE[no-naked-new]=fixture_no_naked_new.cc
-GREP_RULE[no-raw-clock]='std::time\s*\(|\bgettimeofday\s*\(|std::chrono::system_clock::now|\bclock_gettime\s*\('
-GREP_FIXTURE[no-raw-clock]=fixture_no_raw_clock.cc
-
-# The patterns above must not drift from scripts/lint.sh.
-for rule in "${!GREP_RULE[@]}"; do
-  if ! grep -qF "${GREP_RULE[$rule]}" "$REPO_ROOT/scripts/lint.sh"; then
-    die "pattern for '$rule' differs from scripts/lint.sh — update both"
-  fi
-done
-
-for rule in "${!GREP_RULE[@]}"; do
-  fixture="${GREP_FIXTURE[$rule]}"
-  if grep -qE "${GREP_RULE[$rule]}" "$fixture"; then
-    note "grep rule '$rule' fires on $fixture"
-  else
-    die "grep rule '$rule' does NOT fire on $fixture"
-  fi
-  if grep -E "${GREP_RULE[$rule]}" fixture_clean.cc | grep -qv 'lint-ok'; then
-    die "grep rule '$rule' over-matches fixture_clean.cc"
-  fi
-done
-
-# --------------------------------------------------------------------------
-# mrcp-lint rules. raw-time-literal is scoped to production code, so its
-# fixture is staged under a src/-shaped path first.
-# --------------------------------------------------------------------------
 expect_rule() {
   local rule="$1" file="$2" expected="$3"
   local got
@@ -70,26 +31,43 @@ expect_rule() {
 expect_rule unordered-iteration fixture_unordered_iteration.cc 2
 expect_rule rng-construction fixture_rng_construction.cc 3
 expect_rule blocking-under-lock fixture_blocking_under_lock.cc 3
+expect_rule no-std-rand fixture_no_std_rand.cc 3
+expect_rule no-naked-new fixture_no_naked_new.cc 3
+expect_rule no-raw-clock fixture_no_raw_clock.cc 4
 
+# Path-scoped rules: their fixtures are staged under src/-shaped paths.
 stage=$(mktemp -d)
 trap 'rm -rf "$stage"' EXIT
-mkdir -p "$stage/src/core"
+mkdir -p "$stage/src/core" "$stage/src/common/io"
 cp fixture_raw_time_literal.cc "$stage/src/core/"
 expect_rule raw-time-literal "$stage/src/core/fixture_raw_time_literal.cc" 2
 
 # raw-file-io: fires under a generic src/ path, silent in the sanctioned
 # homes (src/common/io/ here; src/sim/trace_export.* is the other).
-mkdir -p "$stage/src/common/io"
 cp fixture_raw_file_io.cc "$stage/src/core/"
 cp fixture_raw_file_io.cc "$stage/src/common/io/"
 expect_rule raw-file-io "$stage/src/core/fixture_raw_file_io.cc" 3
 expect_rule raw-file-io "$stage/src/common/io/fixture_raw_file_io.cc" 0
 
-# Clean fixture: zero findings from any mrcp-lint rule.
+# rng-construction inside RandomStream's home flags only unseeded engines.
+cp fixture_rng_home_unseeded.cc "$stage/src/common/rng.cc"
+expect_rule rng-construction "$stage/src/common/rng.cc" 3
+
+# Clean fixture: zero findings from any rule.
 if "$MRCP_LINT" fixture_clean.cc >/dev/null 2>&1; then
   note "mrcp-lint clean fixture passes with 0 findings"
 else
   die "mrcp-lint reports findings on fixture_clean.cc"
+fi
+
+# A --dir sweep skips the *.cc fixtures: a directory holding nothing else
+# has no input files (exit 2), never findings (exit 1).
+"$MRCP_LINT" --dir . >/dev/null 2>&1
+status=$?
+if [[ $status -eq 2 ]]; then
+  note "mrcp-lint --dir sweep skips the fixtures"
+else
+  die "mrcp-lint --dir . over the fixtures exited $status, expected 2"
 fi
 
 # JSON output stays machine-readable: a finding run must emit valid-ish

@@ -138,6 +138,9 @@ TEST(ValidateExecution, CatchesCapacityViolation) {
       make_workload({make_job(0, Time{0}, Time{0}, Time{1000}, {Time{10}, Time{10}}, {})}, 1, 1, 1);
   std::vector<ExecutedTask> executed = {{0, 0, 0, Time{0}, Time{10}}, {0, 1, 0, Time{5}, Time{15}}};
   EXPECT_NE(validate_execution(w, executed), "");
+  // Back to back at full slot capacity is fine.
+  executed[1] = {0, 1, 0, Time{10}, Time{20}};
+  EXPECT_EQ(validate_execution(w, executed), "");
 }
 
 TEST(ValidateExecution, CatchesPrecedenceViolation) {
@@ -159,6 +162,15 @@ TEST(ValidateExecution, AcceptsCleanExecution) {
       make_workload({make_job(0, Time{0}, Time{0}, Time{1000}, {Time{10}}, {Time{20}})}, 1, 1, 1);
   std::vector<ExecutedTask> executed = {{0, 0, 0, Time{0}, Time{10}}, {0, 1, 0, Time{10}, Time{30}}};
   EXPECT_EQ(validate_execution(w, executed), "");
+}
+
+TEST(ValidateExecution, RejectsStartBeforeEarliestStart) {
+  // Plans and CP solutions exempt started/pinned tasks from s_j; an
+  // execution has no such exemption.
+  const Workload w =
+      make_workload({make_job(0, Time{0}, Time{100}, Time{1000}, {Time{10}}, {})}, 1, 1, 1);
+  EXPECT_NE(validate_execution(w, {{0, 0, 0, Time{99}, Time{109}}}), "");
+  EXPECT_EQ(validate_execution(w, {{0, 0, 0, Time{100}, Time{110}}}), "");
 }
 
 TEST(ValidateExecution, NetDemandOnZeroCapacityResourceFails) {

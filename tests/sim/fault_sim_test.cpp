@@ -250,5 +250,23 @@ TEST(ValidateExecutionFaults, KilledAttemptCountsTowardCapacity) {
   EXPECT_EQ(validate_execution(w, good, killed, downtime), "");
 }
 
+TEST(ValidateExecutionFaults, KilledAttemptIsExemptFromAntiAffinity) {
+  // Two maps in one anti-affinity group. Map 0's first attempt dies on
+  // resource 0 and re-runs on resource 1; map 1 then legally completes on
+  // resource 0, where the killed sibling attempt once sat.
+  Job job = make_job(0, Time{0}, Time{0}, Time{100000}, {Time{100}, Time{100}}, {});
+  for (Task& t : job.map_tasks) t.affinity_group = 0;
+  const Workload w = make_workload({job}, 2, 1, 1);
+  const std::vector<DownInterval> downtime = {{0, Time{50}, Time{60}}};
+  const std::vector<ExecutedTask> killed = {{0, 0, 0, Time{0}, Time{50}}};
+  const std::vector<ExecutedTask> executed = {{0, 0, 1, Time{60}, Time{160}},
+                                              {0, 1, 0, Time{60}, Time{160}}};
+  EXPECT_EQ(validate_execution(w, executed, killed, downtime), "");
+  // Two *completions* on one resource still violate the group.
+  const std::vector<ExecutedTask> shared = {{0, 0, 0, Time{60}, Time{160}},
+                                            {0, 1, 0, Time{160}, Time{260}}};
+  EXPECT_NE(validate_execution(w, shared, killed, downtime), "");
+}
+
 }  // namespace
 }  // namespace mrcp::sim

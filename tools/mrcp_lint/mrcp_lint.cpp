@@ -1,20 +1,22 @@
-// mrcp-lint: structural analyzer for the MRCP-RM tree.
+// mrcp-lint: the custom lint analyzer for the MRCP-RM tree.
 //
-// Enforces invariants that the grep layer (scripts/lint.sh) cannot see
-// because they need declaration or scope context — see rules.h for the
-// rule catalogue and docs/static_analysis.md for where this sits in the
-// four-layer static-analysis stack.
+// Enforces the repo's determinism and ownership invariants, from plain
+// banned-call patterns to rules that need declaration or scope context —
+// see rules.h for the rule catalogue and docs/static_analysis.md for
+// where this sits in the static-analysis stack.
 //
 // Usage:
 //   mrcp-lint [--json] [--compile-commands <path>] [--dir <d>]... [file]...
 //
 // File discovery follows compile_commands.json (the same database
 // clang-tidy uses) so the lint set and the build set cannot drift;
-// --dir adds headers, which never appear as translation units. The
-// frontend is a purpose-built comment/string-aware scanner rather than
-// libclang — the build image carries no clang dev headers — structured
-// so a libclang-backed frontend can replace source_file.h without
-// touching the rules (docs/static_analysis.md#mrcp-lint).
+// --dir adds headers, which never appear as translation units, and trees
+// outside the build. A --dir sweep takes *.cpp and *.h only: *.cc is
+// reserved for the tests/lint fixtures, which violate every rule on
+// purpose. The frontend is a purpose-built comment/string-aware scanner
+// rather than libclang — the build image carries no clang dev headers —
+// structured so a libclang-backed frontend can replace source_file.h
+// without touching the rules (docs/static_analysis.md#mrcp-lint).
 //
 // Output: one `file:line:col: [rule] message` line per finding, or a
 // JSON array with --json. Exit 0 = clean, 1 = findings, 2 = bad usage.
@@ -73,7 +75,8 @@ void files_from_dir(const std::string& dir, std::set<std::string>& out) {
        it != std::filesystem::recursive_directory_iterator();
        it.increment(ec)) {
     if (ec) break;
-    if (it->is_regular_file(ec) && has_source_extension(it->path()))
+    const std::string ext = it->path().extension().string();
+    if (it->is_regular_file(ec) && (ext == ".cpp" || ext == ".h"))
       out.insert(it->path().string());
   }
 }

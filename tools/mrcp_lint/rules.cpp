@@ -148,16 +148,57 @@ void rule_raw_time_literal(const SourceFile& file, const RuleOptions& options,
 }
 
 // --------------------------------------------------------------------------
+// Pattern rules (no-std-rand, no-naked-new, no-raw-clock, raw-file-io): a
+// match on the sanitized line is a finding, located at capture group 1
+// when the pattern has one.
+// --------------------------------------------------------------------------
+
+void rule_pattern(const SourceFile& file, const std::regex& pattern,
+                  const char* rule, const std::string& message,
+                  std::vector<Finding>& findings) {
+  for (std::size_t i = 0; i < file.sanitized.size(); ++i) {
+    const std::string& line = file.sanitized[i];
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), pattern);
+         it != std::sregex_iterator(); ++it) {
+      const auto col =
+          it->size() > 1 && (*it)[1].matched ? it->position(1) : it->position();
+      report(file, static_cast<int>(i) + 1, static_cast<int>(col) + 1, rule,
+             message, findings);
+    }
+  }
+}
+
+const std::regex kStdRand(R"(\bstd\s*::\s*rand\b|\bs?rand\s*\()");
+// `new T` in an expression; placement new (`new (buf) T`) and
+// `operator new` declarations are not ownership-taking allocations.
+const std::regex kNakedNew(R"((?:^|[^\w])(new)\s+[A-Za-z_:])");
+const std::regex kRawClock(
+    R"(\bstd\s*::\s*time\s*\(|\bgettimeofday\s*\()"
+    R"(|\bsystem_clock\s*::\s*now\b|\bclock_gettime\s*\()");
+
+// --------------------------------------------------------------------------
 // rng-construction
 // --------------------------------------------------------------------------
 
 const std::regex kRngType(
     R"(\bstd\s*::\s*(mt19937(?:_64)?|minstd_rand0?|default_random_engine|knuth_b|ranlux(?:24|48)(?:_base)?|random_device)\b)");
 
+std::size_t skip_space(const std::string& line, std::size_t pos) {
+  while (pos < line.size() &&
+         std::isspace(static_cast<unsigned char>(line[pos])) != 0)
+    ++pos;
+  return pos;
+}
+
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
 void rule_rng_construction(const SourceFile& file, const RuleOptions& options,
                            std::vector<Finding>& findings) {
-  for (const std::string& home : options.rng_home)
-    if (path_contains(file.path, home)) return;
+  bool home = false;
+  for (const std::string& h : options.rng_home)
+    home = home || path_contains(file.path, h);
   for (std::size_t i = 0; i < file.sanitized.size(); ++i) {
     const std::string& line = file.sanitized[i];
     for (auto it = std::sregex_iterator(line.begin(), line.end(), kRngType);
@@ -165,21 +206,31 @@ void rule_rng_construction(const SourceFile& file, const RuleOptions& options,
       // A *construction* is the type followed by a declarator or an
       // initializer. A reference/pointer (`std::mt19937_64&`) or a
       // template argument position is a pass-through, not a new engine.
-      std::size_t pos = static_cast<std::size_t>(it->position()) +
-                        static_cast<std::size_t>(it->length());
-      while (pos < line.size() && std::isspace(static_cast<unsigned char>(
-                                      line[pos])) != 0)
-        ++pos;
+      std::size_t pos = skip_space(
+          line, static_cast<std::size_t>(it->position()) +
+                    static_cast<std::size_t>(it->length()));
       const char c = pos < line.size() ? line[pos] : '\0';
-      const bool constructs = c == '{' || c == '(' ||
-                              std::isalpha(static_cast<unsigned char>(c)) !=
-                                  0 ||
-                              c == '_';
+      const bool constructs =
+          c == '{' || c == '(' ||
+          (ident_char(c) && std::isdigit(static_cast<unsigned char>(c)) == 0);
       if (!constructs) continue;
+      // Inside RandomStream's home only an *unseeded* engine is a finding:
+      // a random_device, or a declarator/temporary with no seed argument.
+      if (home && (*it)[1].str() != "random_device") {
+        while (pos < line.size() && ident_char(line[pos])) ++pos;
+        pos = skip_space(line, pos);
+        const std::string rest = line.substr(pos, 2);
+        const bool unseeded = (!rest.empty() && rest[0] == ';') ||
+                              rest == "{}" || rest == "()";
+        if (!unseeded) continue;
+      }
       report(file, static_cast<int>(i) + 1,
              static_cast<int>(it->position()) + 1, "rng-construction",
-             "random engine constructed outside RandomStream; all "
-             "randomness must flow through common/rng.h for reproducibility",
+             home ? "unseeded random engine: every engine in RandomStream "
+                    "must be seeded for reproducibility"
+                  : "random engine constructed outside RandomStream; all "
+                    "randomness must flow through common/rng.h for "
+                    "reproducibility",
              findings);
     }
   }
@@ -194,25 +245,18 @@ void rule_rng_construction(const SourceFile& file, const RuleOptions& options,
 // loaders may read anywhere; it is *writes* that must flow through the
 // checksummed framing layer so crash recovery sees them.
 const std::regex kRawFileIo(
-    R"(\bstd\s*::\s*(ofstream|fstream)\b|\b(fopen|freopen|fwrite)\s*\()");
+    R"(\bstd\s*::\s*(?:ofstream|fstream)\b|\b(?:fopen|freopen|fwrite)\s*\()");
 
 void rule_raw_file_io(const SourceFile& file, const RuleOptions& options,
                       std::vector<Finding>& findings) {
   if (!path_contains(file.path, options.file_io_scope)) return;
   for (const std::string& home : options.file_io_homes)
     if (path_contains(file.path, home)) return;
-  for (std::size_t i = 0; i < file.sanitized.size(); ++i) {
-    const std::string& line = file.sanitized[i];
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kRawFileIo);
-         it != std::sregex_iterator(); ++it) {
-      report(file, static_cast<int>(i) + 1,
-             static_cast<int>(it->position()) + 1, "raw-file-io",
-             "raw write-capable file I/O outside src/common/io and "
-             "src/sim/trace_export; route through io::write_text_file or "
-             "the framed record writer so durability covers the write",
-             findings);
-    }
-  }
+  rule_pattern(file, kRawFileIo, "raw-file-io",
+               "raw write-capable file I/O outside src/common/io and "
+               "src/sim/trace_export; route through io::write_text_file or "
+               "the framed record writer so durability covers the write",
+               findings);
 }
 
 // --------------------------------------------------------------------------
@@ -316,6 +360,17 @@ void run_rules(const SourceFile& file, const RuleOptions& options,
   rule_rng_construction(file, options, findings);
   rule_raw_file_io(file, options, findings);
   rule_blocking_under_lock(file, findings);
+  rule_pattern(file, kStdRand, "no-std-rand",
+               "std::rand/srand are global-state and unseeded; draw from a "
+               "RandomStream",
+               findings);
+  rule_pattern(file, kNakedNew, "no-naked-new",
+               "naked new: own through a value, a container or "
+               "std::make_unique",
+               findings);
+  rule_pattern(file, kRawClock, "no-raw-clock",
+               "raw wall-clock read; time budgets through common/stopwatch.h",
+               findings);
 }
 
 }  // namespace mrcp::lint

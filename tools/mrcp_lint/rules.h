@@ -1,7 +1,7 @@
-// mrcp-lint rule definitions.
+// mrcp-lint rule definitions: the repo's one custom lint analyzer.
 //
-// Five structural rules that the grep layer in scripts/lint.sh cannot
-// express (they need scope or declaration context, not just a pattern):
+// Structural rules (they need scope or declaration context, not just a
+// pattern):
 //
 //   unordered-iteration   range-for over a std::unordered_{map,set,multimap,
 //                         multiset} — hash-order iteration feeding any
@@ -16,7 +16,9 @@
 //   rng-construction      constructing a std:: random engine or a
 //                         random_device outside src/common/rng.* —
 //                         all randomness must flow through RandomStream
-//                         (seeded, stream-split, reproducible).
+//                         (seeded, stream-split, reproducible). Inside
+//                         that home, an unseeded engine (default-
+//                         constructed, or a random_device) is flagged.
 //   blocking-under-lock   a sleep/join/pool-wait call while a lock guard
 //                         (MutexLock, std::lock_guard, std::unique_lock,
 //                         std::scoped_lock) is live in an enclosing scope.
@@ -30,6 +32,17 @@
 //                         checksummed framing layer so crash recovery
 //                         (docs/crash_recovery.md) sees every write;
 //                         read-only std::ifstream stays legal everywhere.
+//
+// Pattern rules (a match on the comment/string-blanked line):
+//
+//   no-std-rand           std::rand / rand( / srand( — global-state,
+//                         unseeded randomness.
+//   no-naked-new          `new T` in an expression: ownership is values,
+//                         containers and std::make_unique. Placement new
+//                         and `operator new` are not matched.
+//   no-raw-clock          std::time(, gettimeofday(, system_clock::now,
+//                         clock_gettime( — wall-clock reads outside
+//                         common/stopwatch.h leak nondeterminism.
 //
 // Every rule honours the `lint-ok: <rule>` comment convention described
 // in docs/static_analysis.md.
