@@ -45,6 +45,10 @@ struct InvocationRecord {
   std::size_t dirty_jobs = 0;    ///< jobs re-solved this invocation
   std::size_t frozen_tasks = 0;  ///< boundary tasks pinned, not re-solved
   bool model_cache_hit = false;  ///< persistent model + root were reused
+  // ---- Plan provenance of the last attempt (side channel: not journaled
+  // or snapshotted, never read by the planner) ----
+  int portfolio_members_run = 0;  ///< cp::SolveStats::portfolio_members_run
+  bool portfolio_stopped_at_bound = false;  ///< reached the root lower bound
 };
 
 /// Aggregate counters over a ledger; embedded in sim::SimMetrics and

@@ -767,6 +767,8 @@ const Plan& MrcpRm::reschedule(Time now) {
       ++stats_.solve_attempts;
       ++rec.attempts;
       rec.last_status = r.status;
+      rec.portfolio_members_run = r.stats.portfolio_members_run;
+      rec.portfolio_stopped_at_bound = r.stats.portfolio_stopped_at_bound;
       rec.solve_wall_seconds += r.wall_seconds;
       stats_.solve_wall_seconds += r.wall_seconds;
       stats_.solver_decisions += r.stats.decisions;

@@ -102,6 +102,11 @@ class SearchRoot {
 
   const Model& model() const { return *model_; }
 
+  /// Jobs late in every leaf below the root (completion lower bound past
+  /// the deadline): a lower bound on any solution's num_late, which
+  /// solve() uses to stop the portfolio once a member reaches it.
+  int late_count() const { return late_count_; }
+
  private:
   friend class SetTimesSearch;
 

@@ -15,13 +15,6 @@
 
 namespace mrcp::cp {
 
-namespace {
-
-/// Per-job intra-order selection for the adaptive portfolio member: LPT
-/// for jobs whose deadline is tight relative to a capacity-aware
-/// makespan lower bound (LPT reproduces the minimum-makespan list
-/// schedule), FIFO for loose jobs (staggered task endings leave earlier
-/// holes for future arrivals).
 std::vector<std::uint8_t> adaptive_lpt_flags(const Model& model) {
   // Total slot capacity per phase across all resources.
   std::int64_t map_slots = 0;
@@ -61,6 +54,8 @@ std::vector<std::uint8_t> adaptive_lpt_flags(const Model& model) {
   }
   return flags;
 }
+
+namespace {
 
 /// Ranks with one job promoted to the front (all ranks below its old rank
 /// shift up by one). Used by LNS to give a late job first pick.
@@ -202,18 +197,39 @@ SolveResult solve(const Model& model, const SolveParams& params,
     }
   }
 
+  // Root-bound stop: the statically-late jobs are late in every leaf, so
+  // no solution has fewer than root.late_count() late jobs, and once the
+  // warm start or member k reaches that count the fold below (strictly
+  // fewer wins) can pick nothing after k. `skip_from` is the first member
+  // index to skip: 0 for a warm start at the bound, else lowered to k + 1
+  // by a fetch-min. A member is thus skipped only in favour of the warm
+  // start or a lower-index member — never of a higher-index one that
+  // happened to finish first on the pool path — so the fold picks the
+  // winner the sequential run picks.
+  const int lower_bound = root.late_count();
+  auto at_bound = [&](const Solution& sol) {
+    return sol.valid && sol.num_late <= lower_bound;
+  };
+  std::atomic<std::size_t> skip_from{
+      at_bound(best) ? 0 : std::numeric_limits<std::size_t>::max()};
   std::vector<ResultSlot> member_results(members.size());
   auto run_member = [&](std::size_t i) {
     // An exhausted budget skips the member before any setup — the same
     // monotone check on both the sequential and the pool path, so both
     // do identical work when the budget binds (slot stays ran = false).
     if (remaining() <= 0.0 && best.valid) return;
+    if (i >= skip_from.load()) return;
     ResultSlot& out = member_results[i];
     out.ran = true;
     const SearchLimits limits = descent_limits(0.05);
     SetTimesSearch& search = local_search();
     search.reset(members[i].ranks, members[i].lpt);
     out.sol = search.run(limits, nullptr, &out.stats);
+    if (at_bound(out.sol)) {
+      std::size_t cur = skip_from.load();
+      while (i + 1 < cur && !skip_from.compare_exchange_weak(cur, i + 1)) {
+      }
+    }
   };
   if (pool) {
     pool->run_indexed(members.size(), run_member);
@@ -225,12 +241,24 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // solution, and the fold below must land exactly on the best late-count
   // in the member set — a pure function of (warm start, member order),
   // which is what makes the winner independent of thread count and
-  // completion timing.
+  // completion timing. A member that did not run was skipped either by
+  // the exhausted budget or because the warm start or a lower-index
+  // member had already reached the root bound.
   MRCP_AUDIT_ONLY(
       int audit_expected_late = best.valid ? best.num_late
                                            : std::numeric_limits<int>::max();
+      bool audit_bound_before = at_bound(best);
       for (std::size_t i = 0; i < members.size(); ++i) {
-        if (!member_results[i].ran || !member_results[i].sol.valid) continue;
+        if (!member_results[i].ran) {
+          MRCP_CHECK_MSG(audit_bound_before || remaining() <= 0.0,
+                         "portfolio skip audit: member skipped with neither "
+                         "an earlier incumbent at the root bound nor an "
+                         "exhausted budget");
+          continue;
+        }
+        audit_bound_before =
+            audit_bound_before || at_bound(member_results[i].sol);
+        if (!member_results[i].sol.valid) continue;
         MRCP_AUDIT_CHECK(validate_solution(model, member_results[i].sol));
         if (model.num_tasks() <= audit::kAuditModelSizeLimit) {
           MRCP_AUDIT_CHECK(
@@ -246,6 +274,7 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // hurting future arrivals the current model cannot see.
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (!member_results[i].ran) continue;
+    ++stats.portfolio_members_run;
     account(member_results[i].stats);
     Solution& sol = member_results[i].sol;
     const bool strictly_fewer_late =
@@ -264,6 +293,7 @@ SolveResult solve(const Model& model, const SolveParams& params,
                    "portfolio fold audit: folded incumbent does not equal "
                    "the best member late-count");
   })
+  stats.portfolio_stopped_at_bound = at_bound(best);
   if (best_ranks.empty()) {
     best_ranks = make_job_ranks(model, params.portfolio.front());
   }

@@ -3,9 +3,11 @@
 // This plays the role CPLEX's CP Optimizer plays in the paper: given a
 // Model it returns the best schedule it can find within a budget,
 // minimizing the number of late jobs. The strategy is
-//   1. a portfolio of first-descent searches, one per job-ordering
-//     strategy (EDF, least laxity, job id, FCFS) — these are the list
-//      schedules the paper's §VI.B ordering experiment compares;
+//   1. a portfolio of first-descent searches, one per (job-ordering
+//      strategy, intra-job task order) — the job orderings are the list
+//      schedules the paper's §VI.B ordering experiment compares. The
+//      portfolio stops once its incumbent reaches the root lower bound
+//      (the jobs late in every schedule): no later member can beat it;
 //   2. a set-times branch-and-bound improvement run seeded with the
 //      portfolio incumbent;
 //   3. large-neighbourhood search: randomized perturbations of the job
@@ -88,6 +90,14 @@ struct SolveStats {
   double improvement_seconds = 0.0;
   double lns_seconds = 0.0;
   JobOrdering best_ordering = JobOrdering::kEdf;
+  /// Portfolio members that ran a descent. Fewer than the portfolio size
+  /// when the root bound or the budget stopped phase 1 early; on the
+  /// pool path members already running when the bound is reached finish
+  /// anyway, so this count (unlike the solution) may vary with timing.
+  int portfolio_members_run = 0;
+  /// The portfolio incumbent (warm start or a member) reached
+  /// SearchRoot::late_count(), the root lower bound on late jobs.
+  bool portfolio_stopped_at_bound = false;
   bool proved_optimal = false;  ///< zero late jobs, or search exhausted
   bool aborted = false;         ///< some search hit the hard deadline
 };
@@ -104,6 +114,15 @@ struct SolveResult {
   /// surfaced here so budget-bound solves are visible next to `status`).
   double wall_seconds = 0.0;
 };
+
+/// Per-job intra-order of the portfolio's first ("adaptive") variant:
+/// LPT (1) for jobs whose deadline is tight relative to a capacity-aware
+/// makespan lower bound (LPT reproduces the minimum-makespan list
+/// schedule), FIFO (0) for loose jobs (staggered task endings leave
+/// earlier holes for future arrivals). Phase 1 runs, for each ordering
+/// in SolveParams::portfolio, the intra-orders adaptive, all-FIFO and
+/// all-LPT, in that member order.
+std::vector<std::uint8_t> adaptive_lpt_flags(const Model& model);
 
 /// Solve the model. The model must pass Model::validate(). If
 /// `warm_start` is a valid solution for this model it seeds the bound.

@@ -107,6 +107,28 @@ TEST(Incremental, ArrivalResolvesOnlyTheNewJobAgainstFrozenBoundary) {
   EXPECT_EQ(rm.stats().dirty_promotions, 0u);
 }
 
+TEST(Incremental, LedgerRecordsPortfolioProvenance) {
+  MrcpRm rm(Cluster::homogeneous(2, 2, 2), incremental_config());
+  rm.submit(make_job(0, Time{0}, Time{1'000}, Time{50'000}, {Time{100}, Time{100}}, {Time{80}}), Time{0});
+  rm.submit(make_job(1, Time{0}, Time{1'000}, Time{60'000}, {Time{100}}, {Time{80}}), Time{0});
+  rm.reschedule(Time{0});
+  // Loose deadlines: the first portfolio member is already at the root
+  // bound (zero late), so no other member runs.
+  const InvocationRecord first = rm.ledger().records().back();
+  EXPECT_EQ(first.outcome, InvocationOutcome::kCpPrimary);
+  EXPECT_EQ(first.portfolio_members_run, 1);
+  EXPECT_TRUE(first.portfolio_stopped_at_bound);
+
+  // A warm start from the zero-late plan is at the bound: phase 1 is
+  // skipped entirely.
+  rm.mark_dirty(0);
+  rm.reschedule(Time{10});
+  const InvocationRecord& warm = rm.ledger().records().back();
+  EXPECT_GE(rm.stats().warm_starts_used, 1u);
+  EXPECT_EQ(warm.portfolio_members_run, 0);
+  EXPECT_TRUE(warm.portfolio_stopped_at_bound);
+}
+
 TEST(Incremental, RepeatedDirtyRegionHitsTheModelCacheAndWarmStarts) {
   MrcpRm rm(Cluster::homogeneous(2, 2, 2), incremental_config());
   rm.submit(make_job(0, Time{0}, Time{1'000}, Time{50'000}, {Time{100}, Time{100}}, {Time{80}}), Time{0});

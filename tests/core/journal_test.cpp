@@ -243,6 +243,23 @@ TEST(JournalCodecs, InvocationRecordRoundTrip) {
   }
 }
 
+TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
+  // The portfolio why-fields are a side channel: journal bytes (and so
+  // snapshots and recovery) must not depend on them.
+  Rng rng(9);
+  for (int i = 0; i < 100; ++i) {
+    const InvocationRecord rec = rnd_invocation(rng);
+    InvocationRecord with_provenance = rec;
+    with_provenance.portfolio_members_run = 1 + static_cast<int>(rng() % 9);
+    with_provenance.portfolio_stopped_at_bound = true;
+    io::Encoder plain;
+    encode_invocation_record(plain, rec);
+    io::Encoder marked;
+    encode_invocation_record(marked, with_provenance);
+    ASSERT_EQ(plain.str(), marked.str());
+  }
+}
+
 TEST(JournalCodecs, LedgerRoundTrip) {
   Rng rng(8);
   for (int i = 0; i < 1000; ++i) {

@@ -216,5 +216,48 @@ TEST(SearchRootShared, ManySearchesOneRootAgree) {
   expect_identical(ra, rb, "two searches, one root");
 }
 
+TEST(SearchRootShared, LateCountIsTheStaticallyLateJobs) {
+  // late_count() is the solver's portfolio stopping bound: it must count
+  // exactly the jobs whose completion lower bound passes their deadline,
+  // and no schedule the search finds may have fewer late jobs.
+  int positive = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    RandomStream rng(seed, 0x1C);
+    Model m;
+    const CpResourceIndex r0 = m.add_resource(2, 1);
+    m.add_resource(1, 2);
+    const int num_jobs = static_cast<int>(rng.uniform_int(2, 6));
+    for (int j = 0; j < num_jobs; ++j) {
+      const Time est{rng.uniform_int(0, 50)};
+      const Time deadline = est + Time{rng.uniform_int(1, 90)};
+      const CpJobIndex cj = m.add_job(est, deadline, j);
+      const CpTaskIndex first =
+          m.add_task(cj, Phase::kMap, Time{rng.uniform_int(5, 40)});
+      m.add_task(cj, Phase::kReduce, Time{rng.uniform_int(5, 40)});
+      if (j == 0 && seed % 2 == 0) m.pin_task(first, r0, est + Time{30});
+    }
+    ASSERT_EQ(m.validate(), "") << "seed " << seed;
+
+    int want = 0;
+    for (std::size_t j = 0; j < m.num_jobs(); ++j) {
+      const auto cj = static_cast<CpJobIndex>(j);
+      if (m.completion_lower_bound(cj) > m.job(cj).deadline) ++want;
+    }
+    const SearchRoot root(m);
+    EXPECT_EQ(root.late_count(), want) << "seed " << seed;
+    positive += want > 0 ? 1 : 0;
+
+    SetTimesSearch search(root);
+    for (JobOrdering ordering : {JobOrdering::kEdf, JobOrdering::kJobId}) {
+      search.reset(make_job_ranks(m, ordering));
+      SearchStats st;
+      const Solution sol = search.run(bnb_limits(), nullptr, &st);
+      ASSERT_TRUE(sol.valid);
+      EXPECT_GE(sol.num_late, root.late_count()) << "seed " << seed;
+    }
+  }
+  EXPECT_GE(positive, 10);
+}
+
 }  // namespace
 }  // namespace mrcp::cp

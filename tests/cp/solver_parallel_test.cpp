@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -187,6 +188,42 @@ TEST(SolverParallel, LnsBatchOneMatchesSeedSemantics) {
   SolveParams b = a;
   b.num_threads = 4;
   expect_identical(solve(m, a).best, solve(m, b).best, "lns_batch=1");
+}
+
+TEST(SolverParallel, RootBoundStopIdenticalAcrossThreadCounts) {
+  // Models where a member other than member 0 is the first to reach the
+  // root bound, so the pool path may see a later member finish at the
+  // bound first. Skipping only past the lowest at-bound index keeps the
+  // fold's winner, whatever the timing: repeat to shake it out.
+  int found = 0;
+  for (std::uint64_t seed = 1; seed <= 400 && found < 5; ++seed) {
+    const Model m = random_model(seed);
+    SolveParams p1 = parallel_params(seed);
+    p1.num_threads = 1;
+    const SolveResult r1 = solve(m, p1);
+    ASSERT_TRUE(r1.best.valid);
+    // Sequentially, members run up to and including the first one at
+    // the bound; fewer than two means member 0 reached it.
+    if (!r1.stats.portfolio_stopped_at_bound ||
+        r1.stats.portfolio_members_run < 2) {
+      continue;
+    }
+    ++found;
+    for (int rep = 0; rep < 20; ++rep) {
+      for (int threads : {2, 4, 0}) {
+        SolveParams pn = p1;
+        pn.num_threads = threads;
+        const SolveResult rn = solve(m, pn);
+        const std::string what = "seed " + std::to_string(seed) + " rep " +
+                                 std::to_string(rep) + " threads " +
+                                 std::to_string(threads);
+        expect_identical(r1.best, rn.best, what);
+        ASSERT_EQ(r1.stats.best_ordering, rn.stats.best_ordering) << what;
+        ASSERT_TRUE(rn.stats.portfolio_stopped_at_bound) << what;
+      }
+    }
+  }
+  EXPECT_EQ(found, 5);
 }
 
 }  // namespace
