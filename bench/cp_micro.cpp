@@ -267,7 +267,7 @@ void write_bench_json(const char* path) {
     }
     for (const auto& [s, d] : ivs) q.add(s, d, 1);
     for (const auto& [s, d] : ivs) q.remove(s, d, 1);
-    sink += static_cast<Time>(q.num_events());
+    sink += Time{static_cast<std::int64_t>(q.num_events())};
   });
 
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource

@@ -8,26 +8,25 @@
 // Protocol: N jobs (2 maps + 1 reduce each) are submitted at t=0 with a
 // far-future earliest start, so nothing ever executes and the live set
 // stays constant at 3N tasks while epochs advance. Each epoch marks a
-// job window dirty via mark_dirty() and invokes reschedule():
-//   - per dirty fraction f: one cold epoch (model-cache miss: fresh
-//     build + SearchRoot replay) then repeated same-window epochs
-//     (cache hits — the steady state of a park-retry storm or a
-//     repeatedly re-solved hot region);
-//   - a rotating 10% window (every epoch a different region → every
-//     epoch a miss: the honest worst case of incremental mode);
+// job window dirty via mark_dirty() and invokes reschedule(), which
+// builds and solves a fresh model every time:
+//   - per dirty fraction f: `epochs` epochs, each on a different window
+//     of f*N jobs (a rotating region, so no epoch repeats the previous
+//     one's model);
 //   - a soak at 10% dirty for `soak-epochs` epochs.
 // The full-rebuild baseline re-solves all 3N tasks per epoch under
 // kAllUnstarted. It is measured twice: with the §V.D separation
 // (combined model + matchmaker — the healthy-path default, reported as
 // context) and with the direct per-resource model, which is the
 // apples-to-apples baseline: a frozen boundary fragments concrete
-// slots, so incremental mode can only ever solve the direct
+// slots, so an incremental epoch with clean jobs left solves the direct
 // formulation, and speedup_10pct compares against the direct rebuild.
 // Both numbers land in the JSON; see docs/incremental.md for when the
 // combined full rebuild is the better deployment choice.
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -50,9 +49,9 @@ Job make_bench_job(JobId id) {
   j.arrival_time = Time{0};
   j.earliest_start = kEarliestStart;
   j.deadline = kEarliestStart + Time{10'000'000};  // loose: lateness never binds
-  j.map_tasks.push_back(Task{TaskType::kMap, Time{800}, 1});
-  j.map_tasks.push_back(Task{TaskType::kMap, Time{1200}, 1});
-  j.reduce_tasks.push_back(Task{TaskType::kReduce, Time{1000}, 1});
+  j.map_tasks.push_back(make_task(TaskType::kMap, Time{800}));
+  j.map_tasks.push_back(make_task(TaskType::kMap, Time{1200}));
+  j.reduce_tasks.push_back(make_task(TaskType::kReduce, Time{1000}));
   return j;
 }
 
@@ -93,9 +92,23 @@ double timed_epoch(MrcpRm& rm, Time* t, JobId begin, JobId end) {
 struct FractionResult {
   double fraction = 0.0;
   JobId dirty_jobs = 0;
-  double cold_s = 0.0;  ///< model-cache miss (fresh build + root)
-  double warm_s = 0.0;  ///< mean over cache-hit epochs
+  double epoch_s = 0.0;  ///< mean over the rotating-window epochs
 };
+
+/// Mean reschedule() wall time over `epochs` epochs, each marking a
+/// different window of `window` jobs dirty.
+double rotating_epochs(MrcpRm& rm, Time* t, int jobs, JobId window,
+                       int epochs, double* max_s = nullptr) {
+  double total = 0.0;
+  for (int e = 0; e < epochs; ++e) {
+    const JobId begin = (static_cast<JobId>(e) * window) %
+                        static_cast<JobId>(jobs - window + 1);
+    const double s = timed_epoch(rm, t, begin, begin + window);
+    total += s;
+    if (max_s != nullptr) *max_s = std::max(*max_s, s);
+  }
+  return total / static_cast<double>(epochs);
+}
 
 }  // namespace
 
@@ -104,8 +117,7 @@ int main(int argc, char** argv) {
   flags.add_int("jobs", 10000, "live jobs (3 tasks each)")
       .add_int("resources", 100, "cluster size")
       .add_int("full-epochs", 3, "full-rebuild baseline epochs")
-      .add_int("warm-epochs", 3, "cache-hit epochs per fraction")
-      .add_int("rotating-epochs", 5, "rotating-window (cache-miss) epochs")
+      .add_int("epochs", 3, "rotating-window epochs per dirty fraction")
       .add_int("soak-epochs", 20, "10%-dirty soak epochs")
       .add_string("out", "BENCH_epoch_scaling.json", "JSON output path");
   if (!flags.parse(argc, argv)) return flags.ok() ? 0 : 1;
@@ -113,10 +125,9 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(flags.get_int("jobs"));
   const int resources = static_cast<int>(flags.get_int("resources"));
   const int full_epochs = static_cast<int>(flags.get_int("full-epochs"));
-  const int warm_epochs = static_cast<int>(flags.get_int("warm-epochs"));
-  const int rotating_epochs = static_cast<int>(flags.get_int("rotating-epochs"));
+  const int epochs = static_cast<int>(flags.get_int("epochs"));
   const int soak_epochs = static_cast<int>(flags.get_int("soak-epochs"));
-  MRCP_CHECK(jobs >= 100 && resources >= 1);
+  MRCP_CHECK(jobs >= 100 && resources >= 1 && epochs >= 1 && soak_epochs >= 1);
 
   // ---- Full-rebuild baselines (kAllUnstarted) ----
   double full_combined_s = 0.0;
@@ -148,58 +159,31 @@ int main(int argc, char** argv) {
 
   const std::vector<double> fractions = {0.01, 0.05, 0.10, 0.25, 0.50, 1.00};
   std::vector<FractionResult> results;
-  double warm_10pct = 0.0;
+  double epoch_10pct = 0.0;
   for (const double f : fractions) {
     FractionResult r;
     r.fraction = f;
     r.dirty_jobs = static_cast<JobId>(f * jobs);
-    r.cold_s = timed_epoch(rm, &t, 0, r.dirty_jobs);
-    double total = 0.0;
-    for (int e = 0; e < warm_epochs; ++e) {
-      total += timed_epoch(rm, &t, 0, r.dirty_jobs);
-    }
-    r.warm_s = total / static_cast<double>(warm_epochs);
-    if (f == 0.10) warm_10pct = r.warm_s;
-    std::printf("dirty %5.0f%% (%ld jobs): cold %.4fs  warm %.4fs\n", f * 100,
-                static_cast<long>(r.dirty_jobs), r.cold_s, r.warm_s);
+    r.epoch_s = rotating_epochs(rm, &t, jobs, r.dirty_jobs, epochs);
+    if (f == 0.10) epoch_10pct = r.epoch_s;
+    std::printf("dirty %5.0f%% (%ld jobs): %.4fs per epoch\n", f * 100,
+                static_cast<long>(r.dirty_jobs), r.epoch_s);
     results.push_back(r);
   }
 
-  // Rotating 10% window: a different region each epoch, so the model
-  // cache never hits — the honest steady-state miss cost.
-  const JobId window = static_cast<JobId>(jobs / 10);
-  double rotating_total = 0.0;
-  for (int e = 0; e < rotating_epochs; ++e) {
-    const JobId begin = (static_cast<JobId>(e) * window) %
-                        static_cast<JobId>(jobs - window + 1);
-    rotating_total += timed_epoch(rm, &t, begin, begin + window);
-  }
-  const double rotating_10pct_s =
-      rotating_total / static_cast<double>(rotating_epochs);
-  std::printf("rotating 10%% (cache miss every epoch): %.4fs\n",
-              rotating_10pct_s);
-
-  // Soak: sustained same-window 10%-dirty epochs at the full live size.
-  double soak_total = 0.0;
+  // Soak: sustained 10%-dirty epochs at the full live size.
   double soak_max = 0.0;
-  for (int e = 0; e < soak_epochs; ++e) {
-    const double s = timed_epoch(rm, &t, 0, window);
-    soak_total += s;
-    soak_max = std::max(soak_max, s);
-  }
-  const double soak_mean_s = soak_total / static_cast<double>(soak_epochs);
+  const double soak_mean_s = rotating_epochs(
+      rm, &t, jobs, static_cast<JobId>(jobs / 10), soak_epochs, &soak_max);
   std::printf("soak (%d epochs at 10%%): mean %.4fs  max %.4fs\n", soak_epochs,
               soak_mean_s, soak_max);
 
   const MrcpStats& st = rm.stats();
   MRCP_CHECK_MSG(st.dirty_promotions == 0,
                  "dirty-set bookkeeping missed an event");
-  const double speedup_warm = warm_10pct > 0.0 ? full_rebuild_s / warm_10pct
-                                               : 0.0;
-  const double speedup_cold =
-      rotating_10pct_s > 0.0 ? full_rebuild_s / rotating_10pct_s : 0.0;
-  std::printf("speedup at 10%% dirty: warm %.1fx  cold/rotating %.1fx\n",
-              speedup_warm, speedup_cold);
+  const double speedup = epoch_10pct > 0.0 ? full_rebuild_s / epoch_10pct
+                                          : 0.0;
+  std::printf("speedup at 10%% dirty: %.1fx\n", speedup);
 
   const std::string out = flags.get_string("out");
   FILE* fp = std::fopen(out.c_str(), "w");
@@ -209,6 +193,8 @@ int main(int argc, char** argv) {
   std::fprintf(fp, "  \"live_jobs\": %d,\n", jobs);
   std::fprintf(fp, "  \"live_tasks\": %d,\n", jobs * 3);
   std::fprintf(fp, "  \"resources\": %d,\n", resources);
+  std::fprintf(fp, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(fp, "  \"initial_full_s\": %.6f,\n", initial_full_s);
   std::fprintf(fp, "  \"full_rebuild_combined_s\": %.6f,\n", full_combined_s);
   std::fprintf(fp, "  \"full_rebuild_direct_s\": %.6f,\n", full_direct_s);
@@ -218,26 +204,18 @@ int main(int argc, char** argv) {
     const FractionResult& r = results[i];
     std::fprintf(fp,
                  "    {\"fraction\": %.2f, \"dirty_jobs\": %ld, "
-                 "\"cold_s\": %.6f, \"warm_s\": %.6f}%s\n",
-                 r.fraction, static_cast<long>(r.dirty_jobs), r.cold_s,
-                 r.warm_s, i + 1 < results.size() ? "," : "");
+                 "\"epoch_s\": %.6f}%s\n",
+                 r.fraction, static_cast<long>(r.dirty_jobs), r.epoch_s,
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(fp, "  ],\n");
-  std::fprintf(fp, "  \"rotating_10pct_s\": %.6f,\n", rotating_10pct_s);
   std::fprintf(fp,
                "  \"soak\": {\"epochs\": %d, \"mean_s\": %.6f, "
                "\"max_s\": %.6f},\n",
                soak_epochs, soak_mean_s, soak_max);
-  std::fprintf(fp, "  \"model_cache_hits\": %llu,\n",
-               static_cast<unsigned long long>(st.model_cache_hits));
-  std::fprintf(fp, "  \"model_cache_misses\": %llu,\n",
-               static_cast<unsigned long long>(st.model_cache_misses));
-  std::fprintf(fp, "  \"warm_starts_used\": %llu,\n",
-               static_cast<unsigned long long>(st.warm_starts_used));
   std::fprintf(fp, "  \"dirty_promotions\": %llu,\n",
                static_cast<unsigned long long>(st.dirty_promotions));
-  std::fprintf(fp, "  \"speedup_10pct\": %.2f,\n", speedup_warm);
-  std::fprintf(fp, "  \"speedup_10pct_cold\": %.2f\n", speedup_cold);
+  std::fprintf(fp, "  \"speedup_10pct\": %.2f\n", speedup);
   std::fprintf(fp, "}\n");
   std::fclose(fp);
   std::printf("wrote %s\n", out.c_str());

@@ -22,10 +22,11 @@ Job make_ar_job(JobId id, Time arrival_s, Time start_s, Time deadline_s,
   j.earliest_start = start_s * kTicksPerSecond;
   j.deadline = deadline_s * kTicksPerSecond;
   for (int t = 0; t < maps; ++t) {
-    j.map_tasks.push_back(Task{TaskType::kMap, map_dur_s * kTicksPerSecond, 1});
+    j.map_tasks.push_back(
+        make_task(TaskType::kMap, map_dur_s * kTicksPerSecond));
   }
   j.reduce_tasks.push_back(
-      Task{TaskType::kReduce, map_dur_s * kTicksPerSecond, 1});
+      make_task(TaskType::kReduce, map_dur_s * kTicksPerSecond));
   return j;
 }
 

@@ -26,10 +26,10 @@ Job make_job(JobId id, Time earliest_start, Time deadline,
   j.earliest_start = earliest_start;
   j.deadline = deadline;
   for (Time s : map_secs) {
-    j.map_tasks.push_back(Task{TaskType::kMap, s * kTicksPerSecond, 1});
+    j.map_tasks.push_back(make_task(TaskType::kMap, s * kTicksPerSecond));
   }
   for (Time s : reduce_secs) {
-    j.reduce_tasks.push_back(Task{TaskType::kReduce, s * kTicksPerSecond, 1});
+    j.reduce_tasks.push_back(make_task(TaskType::kReduce, s * kTicksPerSecond));
   }
   return j;
 }

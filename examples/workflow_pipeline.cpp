@@ -28,16 +28,17 @@ Job make_pipeline(JobId id, Time start_s, Time deadline_s, int width,
   j.earliest_start = Time{start_s} * kTicksPerSecond;
   j.deadline = Time{deadline_s} * kTicksPerSecond;
   for (int lane = 0; lane < width; ++lane) {
-    j.map_tasks.push_back(Task{TaskType::kMap, ingest_s * kTicksPerSecond, 1});
+    j.map_tasks.push_back(
+        make_task(TaskType::kMap, ingest_s * kTicksPerSecond));
   }
   for (int lane = 0; lane < width; ++lane) {
     j.map_tasks.push_back(
-        Task{TaskType::kMap, transform_s * kTicksPerSecond, 1});
+        make_task(TaskType::kMap, transform_s * kTicksPerSecond));
     // transform of lane `lane` waits for its ingest task.
     j.precedences.emplace_back(lane, width + lane);
   }
   j.reduce_tasks.push_back(
-      Task{TaskType::kReduce, aggregate_s * kTicksPerSecond, 1});
+      make_task(TaskType::kReduce, aggregate_s * kTicksPerSecond));
   return j;
 }
 

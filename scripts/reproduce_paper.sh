@@ -28,7 +28,6 @@ done
 ./build/bench/bench_ablation_separation --reps 10 | tee "$OUT/ablation_separation.txt"
 ./build/bench/bench_ablation_deferral --jobs 300 --reps 5 | tee "$OUT/ablation_deferral.txt"
 ./build/bench/bench_ablation_ordering --jobs 300 --reps 5 | tee "$OUT/ablation_ordering.txt"
-./build/bench/bench_ablation_replan_scope --jobs 300 --reps 5 | tee "$OUT/ablation_replan_scope.txt"
 ./build/bench/bench_ablation_baseline_variants --jobs 400 --reps 5 | tee "$OUT/ablation_baseline_variants.txt"
 ./build/bench/bench_workflow_overhead --jobs 200 --reps 5 | tee "$OUT/workflow_overhead.txt"
 ./build/bench/bench_cp_micro | tee "$OUT/cp_micro.txt"

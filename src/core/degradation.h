@@ -44,7 +44,6 @@ struct InvocationRecord {
   // ---- Incremental-mode attribution (docs/incremental.md) ----
   std::size_t dirty_jobs = 0;    ///< jobs re-solved this invocation
   std::size_t frozen_tasks = 0;  ///< boundary tasks pinned, not re-solved
-  bool model_cache_hit = false;  ///< persistent model + root were reused
   // ---- Plan provenance of the last attempt (side channel: not journaled
   // or snapshotted, never read by the planner) ----
   int portfolio_members_run = 0;  ///< cp::SolveStats::portfolio_members_run

@@ -12,7 +12,9 @@ namespace {
 // All composite codecs share one format version; bump it (and branch in
 // the decoders) when a field list changes.
 // v2: tasks carry placement constraints (candidates, racks, affinity).
-constexpr std::uint8_t kFormatVersion = 2;
+// v3: stats drop the model-cache and warm-start counters, invocation
+//     records drop model_cache_hit (both features were removed).
+constexpr std::uint8_t kFormatVersion = 3;
 
 void check_version(io::Decoder& dec, const char* what) {
   const std::uint8_t version = dec.u8();
@@ -180,9 +182,6 @@ void encode_mrcp_stats(io::Encoder& enc, const MrcpStats& stats) {
   enc.u64(stats.jobs_backpressured);
   enc.u64(stats.jobs_parked);
   enc.f64(stats.solve_wall_seconds);
-  enc.u64(stats.model_cache_hits);
-  enc.u64(stats.model_cache_misses);
-  enc.u64(stats.warm_starts_used);
   enc.u64(stats.dirty_promotions);
 }
 
@@ -205,9 +204,6 @@ MrcpStats decode_mrcp_stats(io::Decoder& dec) {
   stats.jobs_backpressured = dec.u64();
   stats.jobs_parked = dec.u64();
   stats.solve_wall_seconds = dec.f64();
-  stats.model_cache_hits = dec.u64();
-  stats.model_cache_misses = dec.u64();
-  stats.warm_starts_used = dec.u64();
   stats.dirty_promotions = dec.u64();
   return stats;
 }
@@ -224,7 +220,6 @@ void encode_invocation_record(io::Encoder& enc, const InvocationRecord& rec) {
   enc.u64(rec.parked_jobs);
   enc.u64(rec.dirty_jobs);
   enc.u64(rec.frozen_tasks);
-  enc.boolean(rec.model_cache_hit);
 }
 
 InvocationRecord decode_invocation_record(io::Decoder& dec) {
@@ -250,7 +245,6 @@ InvocationRecord decode_invocation_record(io::Decoder& dec) {
   rec.parked_jobs = static_cast<std::size_t>(dec.u64());
   rec.dirty_jobs = static_cast<std::size_t>(dec.u64());
   rec.frozen_tasks = static_cast<std::size_t>(dec.u64());
-  rec.model_cache_hit = dec.boolean();
   return rec;
 }
 

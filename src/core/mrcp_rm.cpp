@@ -1,15 +1,12 @@
 #include "core/mrcp_rm.h"
 
 #include <algorithm>
-#include <memory>
-#include <span>
 #include <utility>
 
 #include <cmath>
 
 #include "common/check.h"
 #include "common/log.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/fallback_scheduler.h"
 #include "core/journal.h"
@@ -183,36 +180,32 @@ void MrcpRm::sweep_completed(Time now) {
   }
 }
 
-std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
-                                               std::set<JobId>* dirty) {
+std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
+                                               bool freeze_all_planned) {
   std::vector<LiveJob> live;
   live.reserve(active_.size());
   for (const auto& [id, st] : active_) {
-    // Incremental mode (dirty != nullptr): freezing is per job — jobs
-    // outside the dirty set form the frozen boundary, dirty jobs are
-    // re-solved from free. A clean job is only sound to freeze when
-    // every non-completed task still has an assignment and every
-    // planned-but-unstarted one sits on an up resource; anything else
-    // means the dirty-set bookkeeping missed an event, so the job is
-    // promoted to dirty (counted — the audit tests assert this safety
-    // net never fires).
-    bool job_freeze = freeze_planned;
-    if (dirty != nullptr) {
-      job_freeze = dirty->count(id) == 0;
-      if (job_freeze) {
-        for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
-          if (st.completed[ti]) continue;
-          const Assignment& as = st.assignments[ti];
-          const bool sound =
-              as.assigned() &&
-              (as.start <= now ||
-               down_[static_cast<std::size_t>(as.resource)] == 0);
-          if (!sound) {
-            job_freeze = false;
-            dirty->insert(id);
-            ++stats_.dirty_promotions;
-            break;
-          }
+    // Freezing is per job — jobs outside the dirty set form the frozen
+    // boundary, dirty jobs are re-solved from free. A clean job is only
+    // sound to freeze when every non-completed task still has an
+    // assignment and every planned-but-unstarted one sits on an up
+    // resource; anything else means the dirty-set bookkeeping missed an
+    // event, so the job is promoted to dirty (counted — the audit tests
+    // assert this safety net never fires).
+    bool job_freeze = freeze_all_planned || dirty_jobs_.count(id) == 0;
+    if (job_freeze && !freeze_all_planned) {
+      for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
+        if (st.completed[ti]) continue;
+        const Assignment& as = st.assignments[ti];
+        const bool sound =
+            as.assigned() &&
+            (as.start <= now ||
+             down_[static_cast<std::size_t>(as.resource)] == 0);
+        if (!sound) {
+          job_freeze = false;
+          dirty_jobs_.insert(id);
+          ++stats_.dirty_promotions;
+          break;
         }
       }
     }
@@ -260,9 +253,9 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
           job_freeze && as.assigned() &&
           down_[static_cast<std::size_t>(as.resource)] == 0;
       if (as.assigned() && (as.start <= now || frozen)) {
-        // Running: pinned (Table 2 lines 11-12). With freeze_planned
-        // (kNewJobsOnly scope, and the degraded-mode retry rungs),
-        // planned-but-unstarted tasks are frozen in place too.
+        // Running: pinned (Table 2 lines 11-12). Planned-but-unstarted
+        // tasks of frozen jobs (the kDirtyOnly boundary, and every job in
+        // the degraded-mode retry rungs) are frozen in place too.
         lt.started = true;
         lt.resource = as.resource;
         lt.start = as.start;
@@ -280,12 +273,12 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now, bool freeze_planned,
       }
       lj.precedences.emplace_back(before, after);
     }
-    // Incremental per-job freezing never needs the demotion fixpoint: a
-    // frozen (clean) job has *every* live task marked started, so no
-    // frozen task can have a free predecessor, and a dirty job has no
-    // frozen tasks at all. The fixpoint below serves the whole-model
-    // freeze of kNewJobsOnly and the degraded-mode retry rungs.
-    if (freeze_planned && dirty == nullptr) {
+    // Per-job freezing never needs the demotion fixpoint: a frozen
+    // (clean) job has *every* live task marked started, so no frozen task
+    // can have a free predecessor, and a dirty job has no frozen tasks at
+    // all. The fixpoint below serves the whole-model freeze of the
+    // degraded-mode retry rungs.
+    if (freeze_all_planned) {
       // A frozen assignment is only sound while every predecessor of the
       // task is still accounted for. When a failure resets a map (or a
       // workflow predecessor) to free, the dependent's old start time
@@ -412,68 +405,6 @@ bool affinity_groups_satisfiable(const Cluster& cluster, const LiveJob& lj,
   return true;
 }
 
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  // splitmix64 finalizer over the running hash: cheaper than byte-wise
-  // FNV (the fingerprint walks every live task every invocation) with
-  // full 64-bit diffusion per field.
-  return splitmix64(h ^ (v + 0x9e3779b97f4a7c15ULL));
-}
-
-/// Content fingerprint of everything build_direct_model() consumes: the
-/// cluster's working capacities plus the full live set (ids, windows,
-/// per-task shape and pin state, precedences). Two invocations with
-/// equal fingerprints would build structurally identical models, so the
-/// persistent model + SearchRoot can be reused; the audit layer
-/// cross-checks equality on every hit (collisions are detectable, not
-/// silently trusted).
-std::uint64_t live_fingerprint(const Cluster& cluster,
-                               std::span<const LiveJob> live) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Resource& r : cluster.resources()) {
-    h = fp_mix(h, static_cast<std::uint64_t>(r.map_capacity));
-    h = fp_mix(h, static_cast<std::uint64_t>(r.reduce_capacity));
-    h = fp_mix(h, static_cast<std::uint64_t>(r.net_capacity));
-    h = fp_mix(h, static_cast<std::uint64_t>(r.speed_permille));
-    h = fp_mix(h, static_cast<std::uint64_t>(r.rack));
-  }
-  h = fp_mix(h, live.size());
-  for (const LiveJob& lj : live) {
-    h = fp_mix(h, static_cast<std::uint64_t>(lj.id));
-    h = fp_mix(h, static_cast<std::uint64_t>(lj.effective_earliest_start.count()));
-    h = fp_mix(h, static_cast<std::uint64_t>(lj.deadline.count()));
-    h = fp_mix(h, lj.tasks.size());
-    for (const LiveTask& lt : lj.tasks) {
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.task_index));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.type));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.exec_time.count()));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.res_req));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.net_demand));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.started));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.resource));
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.start.count()));
-      h = fp_mix(h, lt.candidates.size());
-      for (const ResourceId r : lt.candidates) {
-        h = fp_mix(h, static_cast<std::uint64_t>(r));
-      }
-      h = fp_mix(h, lt.racks.size());
-      for (const int rack : lt.racks) {
-        h = fp_mix(h, static_cast<std::uint64_t>(rack));
-      }
-      h = fp_mix(h, static_cast<std::uint64_t>(lt.affinity_group));
-      h = fp_mix(h, lt.anti_affinity_exclude.size());
-      for (const ResourceId r : lt.anti_affinity_exclude) {
-        h = fp_mix(h, static_cast<std::uint64_t>(r));
-      }
-    }
-    h = fp_mix(h, lj.precedences.size());
-    for (const auto& [before, after] : lj.precedences) {
-      h = fp_mix(h, static_cast<std::uint64_t>(before));
-      h = fp_mix(h, static_cast<std::uint64_t>(after));
-    }
-  }
-  return h;
-}
-
 /// Keep only a job's started tasks (and the precedence edges among
 /// them); the rest is parked. Returns false when nothing remains.
 bool keep_started_tasks_only(LiveJob& lj) {
@@ -558,36 +489,6 @@ void MrcpRm::strip_parked(std::vector<LiveJob>& live) const {
   }
 }
 
-cp::Solution MrcpRm::warm_start_from_assignments(const BuiltModel& built) const {
-  cp::Solution sol;
-  const std::size_t n = built.task_refs.size();
-  sol.placements.assign(n, cp::TaskPlacement{});
-  for (std::size_t i = 0; i < n; ++i) {
-    const cp::CpTask& ct = built.model.task(static_cast<cp::CpTaskIndex>(i));
-    if (ct.pinned) {
-      sol.placements[i] = cp::TaskPlacement{ct.pinned_resource, ct.pinned_start};
-      continue;
-    }
-    const auto& [job_id, task_index] = built.task_refs[i];
-    const Assignment& as =
-        active_.at(job_id).assignments[static_cast<std::size_t>(task_index)];
-    // Any free task without a usable previous placement voids the warm
-    // start: evaluate_solution needs every task decided, and a partial
-    // seed would mix two plan generations.
-    if (!as.assigned() || down_[static_cast<std::size_t>(as.resource)] != 0) {
-      return cp::Solution{};
-    }
-    sol.placements[i] = cp::TaskPlacement{
-        static_cast<cp::CpResourceIndex>(as.resource), as.start};
-  }
-  evaluate_solution(built.model, sol);
-  // The old placements can violate the new model (an earliest start
-  // clamped past a planned start, capacity lost to a fault): then they
-  // are not a solution and cannot seed the bound.
-  if (!validate_solution(built.model, sol).empty()) return cp::Solution{};
-  return sol;
-}
-
 DegradationCounts MrcpRm::degradation_counts() const {
   DegradationCounts counts = ledger_.counts();
   counts.jobs_backpressured = stats_.jobs_backpressured;
@@ -604,15 +505,20 @@ const Plan& MrcpRm::reschedule(Time now) {
   InvocationRecord rec;
   rec.sim_time = now;
 
-  const bool incremental = config_.replan_scope == ReplanScope::kDirtyOnly;
-  if (incremental) {
-    // Parked jobs always rejoin the dirty set before the fast-path
-    // check: every invocation re-attempts them, so a job parked in a
-    // previous epoch whose blocking resource has since recovered
-    // re-enters the solve instead of staying stripped, and an
-    // empty-dirty skip can never starve parked work.
-    dirty_jobs_.insert(parked_.begin(), parked_.end());
+  // The scope's only effect: which jobs are re-solved from free. Paper
+  // Table 2 re-maps every unstarted task, i.e. every active job is
+  // dirty; the incremental scope keeps the tracked set.
+  if (config_.replan_scope == ReplanScope::kAllUnstarted) {
+    for (const auto& entry : active_) {
+      dirty_jobs_.insert(dirty_jobs_.end(), entry.first);
+    }
   }
+  // Parked jobs always rejoin the dirty set before the fast-path check:
+  // every invocation re-attempts them, so a job parked in a previous
+  // epoch whose blocking resource has since recovered re-enters the
+  // solve instead of staying stripped, and an empty-dirty skip can never
+  // starve parked work.
+  dirty_jobs_.insert(parked_.begin(), parked_.end());
 
   // Backpressure short-circuit: while degraded, an invocation whose live
   // set did not change since the last full pass (arrivals were
@@ -628,12 +534,13 @@ const Plan& MrcpRm::reschedule(Time now) {
     return plan_;
   }
 
-  // Incremental fast path: an empty dirty set means every unstarted
-  // task of every active job still holds a sound assignment — the
-  // current plan is re-published unchanged (a repair with nothing parked
-  // lands here: re-optimizing clean jobs onto the recovered capacity is
-  // a quality opportunity the incremental scope deliberately forgoes).
-  if (incremental && dirty_jobs_.empty() && !active_.empty()) {
+  // Fast path: an empty dirty set means every unstarted task of every
+  // active job still holds a sound assignment — the current plan is
+  // re-published unchanged (a repair with nothing parked lands here:
+  // re-optimizing clean jobs onto the recovered capacity is a quality
+  // opportunity the incremental scope deliberately forgoes). Never taken
+  // under kAllUnstarted, where every active job is dirty.
+  if (dirty_jobs_.empty() && !active_.empty()) {
     rec.outcome = InvocationOutcome::kSkipped;
     publish_plan(now);
     rec.epoch = plan_.epoch;
@@ -645,21 +552,14 @@ const Plan& MrcpRm::reschedule(Time now) {
   park_retry_at_ = kNoTime;
 
   std::vector<LiveJob> live =
-      incremental
-          ? collect_live_jobs(now, /*freeze_planned=*/false, &dirty_jobs_)
-          : collect_live_jobs(now,
-                              config_.replan_scope == ReplanScope::kNewJobsOnly);
+      collect_live_jobs(now, /*freeze_all_planned=*/false);
   park_unplaceable(live, now);
   rec.parked_jobs = parked_.size();
-  if (incremental) {
-    rec.dirty_jobs = dirty_jobs_.size();
-    for (const LiveJob& lj : live) {
-      for (const LiveTask& lt : lj.tasks) {
-        if (lt.started && lt.start > now) ++rec.frozen_tasks;
-      }
+  rec.dirty_jobs = dirty_jobs_.size();
+  for (const LiveJob& lj : live) {
+    for (const LiveTask& lt : lj.tasks) {
+      if (lt.started && lt.start > now) ++rec.frozen_tasks;
     }
-  } else {
-    rec.dirty_jobs = active_.size();
   }
 
   InvocationOutcome outcome =
@@ -686,10 +586,10 @@ const Plan& MrcpRm::reschedule(Time now) {
     stats_.max_live_tasks = std::max(stats_.max_live_tasks,
                                      static_cast<std::uint64_t>(live_tasks));
     // The §V.D combined-resource abstraction is only sound when every
-    // non-running task is re-placed: frozen *future* tasks (kNewJobsOnly
-    // and the kDirtyOnly frozen boundary) fragment concrete slots, and
-    // an interval can fit the summed capacity while fitting no single
-    // slot. The frozen-scope modes therefore solve the direct
+    // non-running task is re-placed: frozen *future* tasks (the
+    // kDirtyOnly frozen boundary) fragment concrete slots, and an
+    // interval can fit the summed capacity while fitting no single slot.
+    // A live set with a frozen boundary therefore solves the direct
     // per-resource model — which is cheap there, since only the dirty
     // jobs' tasks are free.
     // ... and per-resource link constraints likewise cannot be expressed
@@ -699,50 +599,15 @@ const Plan& MrcpRm::reschedule(Time now) {
     const bool combined =
         config_.use_separation && unit_demands && !links_active &&
         !placement_active && cluster_.uniform_speed_permille() > 0 &&
-        config_.replan_scope == ReplanScope::kAllUnstarted;
+        rec.frozen_tasks == 0;
 
-    BuiltModel local_built;
-    const BuiltModel* built = nullptr;
-    const cp::SearchRoot* shared_root = nullptr;
-    if (incremental && config_.reuse_model_cache) {
-      // Persistent model: reuse the cached model + SearchRoot whenever
-      // the live-state fingerprint recurs (park-retry storms, repeated
-      // re-solves of one dirty region) — the whole model-build and
-      // pinned-replay cost drops out of the invocation.
-      const std::uint64_t fp = live_fingerprint(cluster_, live);
-      if (model_cache_ != nullptr && model_cache_->fingerprint == fp) {
-        ++stats_.model_cache_hits;
-        rec.model_cache_hit = true;
-        if (config_.validate_plans || MRCP_AUDIT_ENABLED) {
-          // A fingerprint collision would silently solve a stale model;
-          // audit builds verify the cached model against a fresh build.
-          BuiltModel fresh = build_direct_model(cluster_, live);
-          MRCP_CHECK_MSG(
-              structurally_equal(fresh.model, model_cache_->built.model),
-              "model cache hit does not match a freshly built model");
-        }
-      } else {
-        ++stats_.model_cache_misses;
-        auto entry = std::make_unique<ModelCacheEntry>();
-        entry->fingerprint = fp;
-        entry->built = build_direct_model(cluster_, live);
-        const std::string model_err = entry->built.model.validate();
-        MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
-        entry->root.emplace(entry->built.model);
-        model_cache_ = std::move(entry);
-      }
-      built = &model_cache_->built;
-      shared_root = &*model_cache_->root;
-    } else {
-      local_built = combined ? build_combined_model(cluster_, live)
-                             : build_direct_model(cluster_, live);
-      // After park_unplaceable() every free task has a capable host, so a
-      // validation failure here is an internal invariant violation, not a
-      // runtime condition — it stays fatal.
-      const std::string model_err = local_built.model.validate();
-      MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
-      built = &local_built;
-    }
+    BuiltModel built = combined ? build_combined_model(cluster_, live)
+                                : build_direct_model(cluster_, live);
+    // After park_unplaceable() every free task has a capable host, so a
+    // validation failure here is an internal invariant violation, not a
+    // runtime condition — it stays fatal.
+    const std::string model_err = built.model.validate();
+    MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
 
     cp::SolveParams params = config_.solve;
     // Vary the LNS seed across invocations, deterministically.
@@ -775,28 +640,11 @@ const Plan& MrcpRm::reschedule(Time now) {
       stats_.solver_fails += r.stats.fails;
     };
 
-    // Warm start: seed the solve with the previous invocation's
-    // assignments when they still form a feasible solution of the new
-    // model. The incumbent bound prunes strictly-worse branches, and the
-    // deterministic winner fold keeps the seed only when no descent
-    // strictly beats it — the published plan is never worse than the one
-    // the invocation started from.
-    cp::Solution warm;
-    const cp::Solution* warm_ptr = nullptr;
-    if (incremental && config_.warm_start_previous) {
-      warm = warm_start_from_assignments(*built);
-      if (warm.valid) {
-        warm_ptr = &warm;
-        ++stats_.warm_starts_used;
-      }
-    }
-
-    cp::SolveResult result = cp::solve(built->model, params, warm_ptr,
-                                       shared_root);
+    cp::SolveResult result = cp::solve(built.model, params);
     account(result);
 
     cp::Solution chosen;
-    const BuiltModel* solved = built;
+    const BuiltModel* solved = &built;
     BuiltModel shrunk_built;  // owns the frozen model when a retry rung wins
 
     if (result.best.valid) {
@@ -816,7 +664,7 @@ const Plan& MrcpRm::reschedule(Time now) {
            retry <= config_.max_solve_retries && !invocation_deadline.expired();
            ++retry) {
         // The combined-resource abstraction is unsound with frozen
-        // fragments (see the kNewJobsOnly comment above), so retries
+        // fragments (see the frozen-boundary comment above), so retries
         // always solve the direct model.
         std::vector<LiveJob> frozen = collect_live_jobs(now, true);
         strip_parked(frozen);
@@ -869,8 +717,8 @@ const Plan& MrcpRm::reschedule(Time now) {
           solved = &shrunk_built;
         } else {
           // Full-model EDF plan — deterministic, never times out.
-          chosen = fallback_schedule(built->model);
-          if (!chosen.valid && built->model.num_affinity_groups() > 0) {
+          chosen = fallback_schedule(built.model);
+          if (!chosen.valid && built.model.num_affinity_groups() > 0) {
             // The greedy EDF pass can paint itself into a corner under
             // anti-affinity (it never backtracks a group member off a
             // contended host). A first-solution CP search without a hard
@@ -882,7 +730,7 @@ const Plan& MrcpRm::reschedule(Time now) {
             complete.lns_iterations = 0;
             complete.portfolio = {cp::JobOrdering::kEdf};
             complete.hard_deadline = nullptr;
-            cp::SolveResult cr = cp::solve(built->model, complete);
+            cp::SolveResult cr = cp::solve(built.model, complete);
             account(cr);
             chosen = std::move(cr.best);
           }
@@ -1030,7 +878,8 @@ void MrcpRm::journal_append(const std::string& payload) {
 }
 
 namespace {
-constexpr std::uint8_t kRmStateVersion = 1;
+// Version 2 dropped the model-cache fingerprint that closed version 1.
+constexpr std::uint8_t kRmStateVersion = 2;
 }  // namespace
 
 std::string MrcpRm::encode_state() const {
@@ -1065,10 +914,6 @@ std::string MrcpRm::encode_state() const {
   encode_ledger(enc, ledger_);
   enc.u32(static_cast<std::uint32_t>(dirty_jobs_.size()));
   for (const JobId id : dirty_jobs_) enc.i64(id);
-  // Informational: the cache itself is rebuilt cold after a restore (the
-  // incremental-vs-full differential proved cache on/off byte-identical,
-  // so a cold cache cannot change any published plan).
-  enc.u64(model_cache_ != nullptr ? model_cache_->fingerprint : 0);
   return enc.take();
 }
 
@@ -1136,7 +981,6 @@ bool MrcpRm::restore_state(std::string_view state, std::string* error) {
   for (std::uint32_t i = 0; i < num_dirty && dec.ok(); ++i) {
     dirty_jobs.insert(static_cast<JobId>(dec.i64()));
   }
-  dec.u64();  // model-cache fingerprint: informational, cache restarts cold
   if (!dec.ok()) return fail("corrupt RM state: " + dec.error());
   if (!dec.done()) {
     return fail("trailing bytes after RM state at byte " +
@@ -1160,7 +1004,6 @@ bool MrcpRm::restore_state(std::string_view state, std::string* error) {
   dirty_ = dirty;
   ledger_ = std::move(ledger);
   dirty_jobs_ = std::move(dirty_jobs);
-  model_cache_.reset();
   return true;
 }
 

@@ -10,9 +10,12 @@
 //      lifted);
 //   3. rebuilds the CP model over all remaining tasks — newly submitted
 //      jobs *and* previously scheduled but unstarted tasks, which are
-//      re-mapped and re-scheduled from scratch for maximum flexibility;
+//      re-mapped and re-scheduled from scratch for maximum flexibility
+//      (every active job is dirty; ReplanScope::kDirtyOnly instead keeps
+//      the unstarted tasks of untouched jobs frozen in place);
 //   4. solves it (combined-resource + matchmaking when the §V.D
-//      separation optimization is on, direct model otherwise);
+//      separation optimization is on and no unstarted task is frozen,
+//      direct model otherwise);
 //   5. publishes a new Plan carrying every live task's assignment.
 //
 // §V.E deferral: jobs whose s_j lies more than `deferral_window` in the
@@ -27,8 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -46,25 +47,19 @@ namespace mrcp {
 
 class Journal;
 
-/// How much of the existing schedule each invocation reconsiders.
+/// How much of the existing schedule each invocation reconsiders. Both
+/// scopes run one pipeline; the scope only decides which jobs enter the
+/// dirty set (the jobs whose unstarted tasks are re-solved from free).
 enum class ReplanScope {
   /// Paper Table 2: every task that has not *started* is re-mapped and
-  /// re-scheduled for maximum flexibility.
+  /// re-scheduled for maximum flexibility — every active job is dirty.
   kAllUnstarted,
-  /// Low-overhead mode (a §VII "reduce scheduling times at high lambda"
-  /// mechanism): previously planned tasks keep their placement even if
-  /// not started; only newly arrived/released jobs are placed, into the
-  /// gaps of the frozen schedule. Cheaper solves, slightly worse P.
-  kNewJobsOnly,
   /// Incremental rescheduling (docs/incremental.md): the RM tracks the
   /// set of jobs touched since the last solve — arrivals, deferral and
   /// backpressure releases, fault-reset assignments, parked work — and
   /// re-solves only those against a frozen boundary of untouched
   /// assignments (the frozen-model machinery of the degradation ladder
-  /// promoted to the primary path). The CP model and its SearchRoot
-  /// persist across invocations and are reused whenever the live state
-  /// fingerprint recurs; per-invocation cost tracks the dirty set, not
-  /// the live set (bench/epoch_scaling.cpp).
+  /// promoted to the primary path).
   kDirtyOnly,
 };
 
@@ -118,20 +113,6 @@ struct MrcpConfig {
   /// next_deferred_release(), in addition to the reschedule every repair
   /// event triggers anyway.
   Time park_retry_delay = seconds_to_ticks(std::int64_t{5});
-
-  // ---- Incremental mode (ReplanScope::kDirtyOnly; docs/incremental.md) ----
-
-  /// Keep the built CP model + SearchRoot across invocations and reuse
-  /// them when the live-state fingerprint is unchanged (park-retry
-  /// storms, repeated re-solves of the same dirty region). Off rebuilds
-  /// from scratch every invocation — the incremental-vs-full
-  /// differential tests compare the two for byte-identical plans.
-  bool reuse_model_cache = true;
-  /// Seed each incremental solve with the previous invocation's
-  /// assignments when they still satisfy every constraint (warm start:
-  /// the incumbent bound prunes descents; the solver never returns a
-  /// worse plan than the one it started from).
-  bool warm_start_previous = true;
 };
 
 struct MrcpStats {
@@ -153,9 +134,12 @@ struct MrcpStats {
   std::uint64_t jobs_parked = 0;         ///< job-epochs parked as unplaceable
   double solve_wall_seconds = 0.0;       ///< wall clock inside cp::solve
   // ---- Incremental mode (docs/incremental.md) ----
-  std::uint64_t model_cache_hits = 0;    ///< persistent model + root reused
-  std::uint64_t model_cache_misses = 0;  ///< incremental solves that rebuilt
-  std::uint64_t warm_starts_used = 0;    ///< solves seeded by the old plan
+  /// Always 0: the persistent model cache and the previous-plan warm
+  /// start were removed (docs/incremental.md). Kept so existing readers
+  /// of these counters still compile.
+  std::uint64_t model_cache_hits = 0;
+  std::uint64_t model_cache_misses = 0;  ///< always 0, see above
+  std::uint64_t warm_starts_used = 0;    ///< always 0, see above
   /// Clean jobs force-promoted to dirty by the collect-time safety net
   /// (an unstarted task without a live assignment on an up resource).
   /// Nonzero means the dirty-set bookkeeping missed an event — the audit
@@ -229,7 +213,7 @@ class MrcpRm {
 
   /// Serialize the RM's full mutable state — active/deferred/parked
   /// jobs, current plan, stats, degradation ledger, dirty set, fault
-  /// flags, model-cache fingerprint — as a versioned blob.
+  /// flags — as a versioned blob.
   std::string encode_state() const;
 
   /// Restore state captured by encode_state(). The RM must have been
@@ -262,21 +246,17 @@ class MrcpRm {
 
   void release_deferred(Time now);
   void sweep_completed(Time now);
-  /// Live jobs for the CP model. `freeze_planned` additionally pins
-  /// planned-but-unstarted assignments (kNewJobsOnly semantics; also the
-  /// shrunk model of degraded-mode retries). With `dirty` non-null
-  /// (incremental mode) freezing is per job: jobs absent from `dirty`
-  /// form the frozen boundary, dirty jobs are re-solved from free. A
-  /// clean job that cannot be frozen soundly — an unstarted task with no
-  /// assignment, or one stranded on a down resource — is promoted into
-  /// `dirty` (and counted in stats_.dirty_promotions: the promotion is a
-  /// safety net, correct bookkeeping never needs it).
-  std::vector<LiveJob> collect_live_jobs(Time now, bool freeze_planned,
-                                         std::set<JobId>* dirty = nullptr);
-  /// Previous-plan warm start for an incremental solve: the old
-  /// assignments of every non-pinned task, when they are all present, on
-  /// up resources, and still satisfy the model. Invalid solution when not.
-  cp::Solution warm_start_from_assignments(const BuiltModel& built) const;
+  /// Live jobs for the CP model. Jobs absent from dirty_jobs_ form the
+  /// frozen boundary (their planned-but-unstarted assignments are
+  /// pinned); dirty jobs are re-solved from free. A clean job that cannot
+  /// be frozen soundly — an unstarted task with no assignment, or one
+  /// stranded on a down resource — is promoted into dirty_jobs_ (and
+  /// counted in stats_.dirty_promotions: the promotion is a safety net,
+  /// correct bookkeeping never needs it). `freeze_all_planned` instead
+  /// pins every planned assignment of every job — the shrunk model of the
+  /// degraded-mode retry rungs — and demotes to fixpoint the frozen tasks
+  /// whose predecessors a failure reset to free.
+  std::vector<LiveJob> collect_live_jobs(Time now, bool freeze_all_planned);
   /// Park jobs with a free task no *current* (post-failure) resource can
   /// host: their unstarted assignments are released and only their
   /// started tasks stay in `live` (they occupy real capacity). A task
@@ -317,19 +297,10 @@ class MrcpRm {
 
   /// Jobs touched since the last solve: arrivals, deferral/backpressure
   /// releases, assignments reset by failures, and (folded in at every
-  /// invocation) parked jobs. Only these are re-solved in kDirtyOnly
-  /// mode; everything else is frozen boundary. Maintained in every
-  /// scope so switching modes mid-run stays consistent.
+  /// invocation) parked jobs. Only these are re-solved; everything else
+  /// is frozen boundary. kAllUnstarted adds every active job at each
+  /// invocation, which leaves the boundary empty.
   std::set<JobId> dirty_jobs_;
-  /// Persistent model + search root, reused while the live-state
-  /// fingerprint is unchanged. unique_ptr for address stability: the
-  /// SearchRoot holds a pointer into `built.model`.
-  struct ModelCacheEntry {
-    std::uint64_t fingerprint = 0;
-    BuiltModel built;
-    std::optional<cp::SearchRoot> root;
-  };
-  std::unique_ptr<ModelCacheEntry> model_cache_;
 
   /// Write-ahead journal; null (the default) disables all journaling.
   Journal* journal_ = nullptr;

@@ -321,47 +321,4 @@ std::string Model::validate() const {
   return "";
 }
 
-bool structurally_equal(const Model& a, const Model& b) {
-  if (a.tasks_.size() != b.tasks_.size() ||
-      a.jobs_.size() != b.jobs_.size() ||
-      a.resources_.size() != b.resources_.size() ||
-      a.num_precedences_ != b.num_precedences_) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.resources_.size(); ++i) {
-    const CpResource& ra = a.resources_[i];
-    const CpResource& rb = b.resources_[i];
-    if (ra.map_capacity != rb.map_capacity ||
-        ra.reduce_capacity != rb.reduce_capacity ||
-        ra.net_capacity != rb.net_capacity ||
-        ra.speed_permille != rb.speed_permille) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.jobs_.size(); ++i) {
-    const CpJob& ja = a.jobs_[i];
-    const CpJob& jb = b.jobs_[i];
-    if (ja.earliest_start != jb.earliest_start || ja.deadline != jb.deadline ||
-        ja.external_id != jb.external_id || ja.map_tasks != jb.map_tasks ||
-        ja.reduce_tasks != jb.reduce_tasks) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.tasks_.size(); ++i) {
-    const CpTask& ta = a.tasks_[i];
-    const CpTask& tb = b.tasks_[i];
-    if (ta.job != tb.job || ta.phase != tb.phase ||
-        ta.duration != tb.duration || ta.demand != tb.demand ||
-        ta.net_demand != tb.net_demand || ta.candidates != tb.candidates ||
-        ta.pinned != tb.pinned || ta.pinned_resource != tb.pinned_resource ||
-        ta.pinned_start != tb.pinned_start ||
-        ta.affinity_group != tb.affinity_group ||
-        ta.external_id != tb.external_id) {
-      return false;
-    }
-    if (a.preds_[i] != b.preds_[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace mrcp::cp

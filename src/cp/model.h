@@ -181,13 +181,6 @@ class Model {
   /// Structural validation; empty string when consistent.
   std::string validate() const;
 
-  /// Deep structural equality: same resources, jobs, tasks (including
-  /// pins, candidates and external ids) and precedence edges. Used by the
-  /// incremental resource manager's audit layer to cross-check that a
-  /// fingerprint-matched cached model really equals a freshly built one
-  /// (docs/incremental.md).
-  friend bool structurally_equal(const Model& a, const Model& b);
-
   /// True when any resource runs at a non-baseline speed: durations are
   /// assignment-dependent.
   bool hetero_speeds() const { return hetero_speeds_; }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -92,7 +91,7 @@ const char* solve_status_name(SolveStatus status) {
 }
 
 SolveResult solve(const Model& model, const SolveParams& params,
-                  const Solution* warm_start, const SearchRoot* shared_root) {
+                  const Solution* warm_start) {
   MRCP_CHECK_MSG(model.validate().empty(), "invalid model passed to solve()");
   Stopwatch timer;
   SolveResult result;
@@ -126,17 +125,8 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // profiles and re-running the priority-topo sort per member, which is
   // what made two solver threads slower than one (docs/perf.md). Slot
   // layout: pool workers use their worker id; the calling thread (the
-  // sequential path and the B&B phase) uses the last slot. A caller that
-  // re-solves a persistent model across invocations can pass its own
-  // root and skip this construction entirely.
-  std::optional<SearchRoot> owned_root;
-  if (shared_root != nullptr) {
-    MRCP_CHECK_MSG(&shared_root->model() == &model,
-                   "shared SearchRoot was built for a different model");
-  } else {
-    owned_root.emplace(model);
-  }
-  const SearchRoot& root = shared_root != nullptr ? *shared_root : *owned_root;
+  // sequential path and the B&B phase) uses the last slot.
+  const SearchRoot root(model);
   std::vector<std::unique_ptr<SetTimesSearch>> searches(
       static_cast<std::size_t>(pool ? num_threads + 1 : 1));
   auto local_search = [&]() -> SetTimesSearch& {

@@ -126,15 +126,7 @@ std::vector<std::uint8_t> adaptive_lpt_flags(const Model& model);
 
 /// Solve the model. The model must pass Model::validate(). If
 /// `warm_start` is a valid solution for this model it seeds the bound.
-///
-/// `shared_root` lets a caller that solves the same model repeatedly
-/// (the incremental resource manager re-solving a persistent model
-/// across plan epochs — docs/incremental.md) reuse one SearchRoot
-/// instead of replaying pins and re-deriving static state on every
-/// invocation. It must have been constructed for exactly this `model`
-/// object (checked); nullptr builds a private root as before.
 SolveResult solve(const Model& model, const SolveParams& params,
-                  const Solution* warm_start = nullptr,
-                  const SearchRoot* shared_root = nullptr);
+                  const Solution* warm_start = nullptr);
 
 }  // namespace mrcp::cp

@@ -94,17 +94,14 @@ Workload generate_facebook_workload(const FacebookWorkloadConfig& config) {
 
     job.map_tasks.reserve(static_cast<std::size_t>(type.map_tasks));
     for (int t = 0; t < type.map_tasks; ++t) {
-      Task task;
-      task.type = TaskType::kMap;
-      task.exec_time = sample_exec_ms(config.map_exec_ms, exec_times);
-      job.map_tasks.push_back(std::move(task));
+      job.map_tasks.push_back(make_task(
+          TaskType::kMap, sample_exec_ms(config.map_exec_ms, exec_times)));
     }
     job.reduce_tasks.reserve(static_cast<std::size_t>(type.reduce_tasks));
     for (int t = 0; t < type.reduce_tasks; ++t) {
-      Task task;
-      task.type = TaskType::kReduce;
-      task.exec_time = sample_exec_ms(config.reduce_exec_ms, exec_times);
-      job.reduce_tasks.push_back(std::move(task));
+      job.reduce_tasks.push_back(
+          make_task(TaskType::kReduce,
+                    sample_exec_ms(config.reduce_exec_ms, exec_times)));
     }
 
     const Time te = job.min_execution_time(total_map_slots, total_reduce_slots);

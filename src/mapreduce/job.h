@@ -47,6 +47,15 @@ struct Task {
   }
 };
 
+/// A task of the given type and execution time, every other field at its
+/// default (unit slot demand, no links, no placement restriction).
+inline Task make_task(TaskType type, Time exec_time) {
+  Task t;
+  t.type = type;
+  t.exec_time = exec_time;
+  return t;
+}
+
 /// A MapReduce job with its SLA.
 struct Job {
   JobId id = kNoJob;

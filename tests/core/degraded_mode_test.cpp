@@ -259,16 +259,19 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
 
 TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
   // r0 is map-only, so the reduce always lands on r1 and survives the
-  // r0 failure with its (now stale) planned start. The frozen-scope
-  // re-collection must demote it back to free rather than pin a reduce
-  // that would start before the killed map's re-run completes.
+  // r0 failure with its (now stale) planned start. After the primary
+  // solve aborts, the retry rungs re-collect the live set with every
+  // planned assignment frozen: that collection must demote the reduce
+  // back to free rather than pin a reduce that would start before the
+  // killed map's re-run completes.
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
-  MrcpConfig cfg;
-  cfg.validate_plans = true;  // aborts on a precedence-violating plan
-  cfg.solve.time_limit_s = 2.0;
-  cfg.replan_scope = ReplanScope::kNewJobsOnly;
+  MrcpConfig cfg = degraded_config();  // validate_plans aborts on a
+                                       // precedence-violating plan
+  // Every solve's own watchdog still expires at once, but the invocation
+  // watchdog is wide, so each invocation runs all its retry rungs.
+  cfg.solver_deadline_s = 60.0;
   MrcpRm rm(c, cfg);
 
   // Deadline forces the two maps in parallel across r0/r1.
@@ -282,6 +285,8 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
 
   rm.handle_resource_down(0, Time{50});
   const Plan& p2 = rm.reschedule(Time{50});
+  // At least one retry rung ran, so the plan below is the frozen model's.
+  EXPECT_GE(rm.ledger().records().back().attempts, 2);
   Time latest_map_end;
   const PlannedTask* reduce = nullptr;
   for (const PlannedTask& pt : p2.tasks) {

@@ -114,9 +114,6 @@ MrcpStats rnd_stats(Rng& rng) {
   stats.jobs_backpressured = rng();
   stats.jobs_parked = rng();
   stats.solve_wall_seconds = rnd_f64(rng);
-  stats.model_cache_hits = rng();
-  stats.model_cache_misses = rng();
-  stats.warm_starts_used = rng();
   stats.dirty_promotions = rng();
   return stats;
 }
@@ -133,7 +130,6 @@ InvocationRecord rnd_invocation(Rng& rng) {
   rec.parked_jobs = static_cast<std::size_t>(rng() % 100000);
   rec.dirty_jobs = static_cast<std::size_t>(rng() % 100000);
   rec.frozen_tasks = static_cast<std::size_t>(rng() % 100000);
-  rec.model_cache_hit = (rng() & 1) != 0;
   return rec;
 }
 

@@ -225,28 +225,6 @@ TEST(MrcpRm, StatsAccumulate) {
   EXPECT_GT(rm.stats().average_sched_seconds_per_job(), 0.0);
 }
 
-TEST(MrcpRm, NewJobsOnlyScopeFreezesPlannedTasks) {
-  MrcpConfig cfg = test_config();
-  cfg.replan_scope = ReplanScope::kNewJobsOnly;
-  MrcpRm rm(Cluster::homogeneous(2, 1, 1), cfg);
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{1000000}, {Time{500}, Time{600}, Time{700}}, {}), Time{0});
-  const Plan& p1 = rm.reschedule(Time{0});
-  std::map<int, std::pair<ResourceId, Time>> before;
-  for (const PlannedTask& pt : p1.tasks) {
-    if (pt.job == 0) before[pt.task_index] = {pt.resource, pt.start};
-  }
-  // An urgent job arrives; in frozen scope job 0's unstarted tasks keep
-  // their placement exactly.
-  rm.submit(make_job(1, Time{100}, Time{100}, Time{2000}, {Time{300}}, {}), Time{100});
-  const Plan& p2 = rm.reschedule(Time{100});
-  for (const PlannedTask& pt : p2.tasks) {
-    if (pt.job != 0) continue;
-    ASSERT_TRUE(before.count(pt.task_index));
-    EXPECT_EQ(pt.resource, before[pt.task_index].first);
-    EXPECT_EQ(pt.start, before[pt.task_index].second);
-  }
-}
-
 TEST(MrcpRm, AllUnstartedScopeCanMovePlannedTasks) {
   // Same scenario under the Table 2 default: job 0's queued (unstarted)
   // third task may be displaced by the urgent arrival.

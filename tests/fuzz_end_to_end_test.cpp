@@ -41,7 +41,7 @@ FuzzCase make_case(std::uint64_t seed) {
   c.config.defer_future_jobs = rng.bernoulli(0.7);
   c.config.deferral_window = Time{rng.uniform_int(0, 2000) * kTicksPerSecond};
   c.config.replan_scope = rng.bernoulli(0.85) ? ReplanScope::kAllUnstarted
-                                              : ReplanScope::kNewJobsOnly;
+                                              : ReplanScope::kDirtyOnly;
   // Results are only reproducible when the wall-clock cap does not bind
   // (solver.h); the deterministic budgets below finish in milliseconds,
   // so keep the cap far above them or parallel test load makes the

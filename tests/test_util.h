@@ -20,16 +20,10 @@ inline Job make_job(JobId id, Time arrival, Time earliest_start, Time deadline,
   j.earliest_start = earliest_start;
   j.deadline = deadline;
   for (Time d : map_durs) {
-    Task t;
-    t.type = TaskType::kMap;
-    t.exec_time = d;
-    j.map_tasks.push_back(std::move(t));
+    j.map_tasks.push_back(make_task(TaskType::kMap, d));
   }
   for (Time d : reduce_durs) {
-    Task t;
-    t.type = TaskType::kReduce;
-    t.exec_time = d;
-    j.reduce_tasks.push_back(std::move(t));
+    j.reduce_tasks.push_back(make_task(TaskType::kReduce, d));
   }
   return j;
 }

@@ -102,7 +102,11 @@ bool load_source(const std::string& path, SourceFile& out) {
           // Raw string literal R"delim( ... )delim"
           std::size_t paren = text.find('(', i + 2);
           if (paren != std::string::npos) {
-            raw_delim = ")" + text.substr(i + 2, paren - (i + 2)) + "\"";
+            // Built in place: GCC 12 misreports -Wrestrict on the
+            // equivalent `")" + substr + "\""` concatenation.
+            raw_delim.assign(1, ')');
+            raw_delim.append(text, i + 2, paren - (i + 2));
+            raw_delim.push_back('"');
             state = State::kRawString;
           }
           cur_sani.push_back(' ');

@@ -165,8 +165,6 @@ int run_simulate(const Flags& flags) {
     if (flags.get_bool("incremental")) {
       config.replan_scope = ReplanScope::kDirtyOnly;
     }
-    config.reuse_model_cache = !flags.get_bool("no-model-cache");
-    config.warm_start_previous = !flags.get_bool("no-warm-start");
     metrics = sim::simulate_mrcp(w, config, options);
   } else if (rm == "minedf" || rm == "edf") {
     baseline::MinEdfConfig config;
@@ -280,12 +278,8 @@ int main(int argc, char** argv) {
       .add_bool("degrade-backpressure", true,
                 "mrcp: hold burst arrivals while running degraded")
       .add_bool("incremental", false,
-                "mrcp: dirty-set incremental rescheduling (persistent model, "
-                "frozen boundary — docs/incremental.md)")
-      .add_bool("no-model-cache", false,
-                "mrcp: incremental without the persistent model/root cache")
-      .add_bool("no-warm-start", false,
-                "mrcp: incremental without previous-plan warm starts")
+                "mrcp: dirty-set incremental rescheduling (frozen boundary "
+                "— docs/incremental.md)")
       .add_bool("stats", false, "simulate: print solver/degradation stats")
       .add_double("mtbf", 0.0, "mean time between failures per resource (s, "
                                "0 = no failures)")
