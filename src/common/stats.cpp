@@ -107,6 +107,17 @@ ConfidenceInterval confidence_interval(const std::vector<double>& values,
   return confidence_interval(s, confidence);
 }
 
+double percentile_nearest_rank(std::vector<double> values, double p) {
+  MRCP_CHECK(p > 0.0 && p <= 1.0);
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  // The epsilon keeps p * n that is an integer up to rounding (0.99 *
+  // 1000) from rounding up one rank.
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(values.size()) - 1e-9));
+  return values[std::max<std::size_t>(rank, 1) - 1];
+}
+
 std::string format_ci(const ConfidenceInterval& ci, int precision) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%.*f ±%.*f", precision, ci.mean, precision,

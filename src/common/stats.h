@@ -60,6 +60,11 @@ ConfidenceInterval confidence_interval(const RunningStat& s,
 ConfidenceInterval confidence_interval(const std::vector<double>& values,
                                        double confidence = 0.95);
 
+/// Nearest-rank percentile of `values` for p in (0, 1]: the smallest
+/// sample with at least p * n samples at or below it (p = 0.99 over 1000
+/// samples leaves 10 above it). 0 when `values` is empty.
+double percentile_nearest_rank(std::vector<double> values, double p);
+
 /// Format "mean ± hw" with the given precision.
 std::string format_ci(const ConfidenceInterval& ci, int precision = 3);
 

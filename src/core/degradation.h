@@ -44,10 +44,14 @@ struct InvocationRecord {
   // ---- Incremental-mode attribution (docs/incremental.md) ----
   std::size_t dirty_jobs = 0;    ///< jobs re-solved this invocation
   std::size_t frozen_tasks = 0;  ///< boundary tasks pinned, not re-solved
-  // ---- Plan provenance of the last attempt (side channel: not journaled
-  // or snapshotted, never read by the planner) ----
+  // ---- Side channel: not journaled or snapshotted (a restored record
+  // reads 0 / false), never read by the planner ----
+  /// Plan provenance of the last attempt.
   int portfolio_members_run = 0;  ///< cp::SolveStats::portfolio_members_run
   bool portfolio_stopped_at_bound = false;  ///< reached the root lower bound
+  /// Wall clock of the whole reschedule() call, up to publishing its plan
+  /// (the per-call share of the paper's O).
+  double wall_seconds = 0.0;
 };
 
 /// Aggregate counters over a ledger; embedded in sim::SimMetrics and

@@ -504,6 +504,15 @@ const Plan& MrcpRm::reschedule(Time now) {
 
   InvocationRecord rec;
   rec.sim_time = now;
+  // Every exit publishes the plan and closes the invocation's record.
+  auto finish = [&]() -> const Plan& {
+    publish_plan(now);
+    rec.epoch = plan_.epoch;
+    rec.wall_seconds = timer.elapsed_seconds();
+    ledger_.record(rec);
+    stats_.total_sched_seconds += timer.elapsed_seconds();
+    return plan_;
+  };
 
   // The scope's only effect: which jobs are re-solved from free. Paper
   // Table 2 re-maps every unstarted task, i.e. every active job is
@@ -527,11 +536,7 @@ const Plan& MrcpRm::reschedule(Time now) {
   // solve. Gated on the streak, so the healthy path never takes it.
   if (degraded_streak_ > 0 && !dirty_ && parked_.empty()) {
     rec.outcome = InvocationOutcome::kSkipped;
-    publish_plan(now);
-    rec.epoch = plan_.epoch;
-    ledger_.record(rec);
-    stats_.total_sched_seconds += timer.elapsed_seconds();
-    return plan_;
+    return finish();
   }
 
   // Fast path: an empty dirty set means every unstarted task of every
@@ -542,11 +547,7 @@ const Plan& MrcpRm::reschedule(Time now) {
   // under kAllUnstarted, where every active job is dirty.
   if (dirty_jobs_.empty() && !active_.empty()) {
     rec.outcome = InvocationOutcome::kSkipped;
-    publish_plan(now);
-    rec.epoch = plan_.epoch;
-    ledger_.record(rec);
-    stats_.total_sched_seconds += timer.elapsed_seconds();
-    return plan_;
+    return finish();
   }
   dirty_ = false;
   park_retry_at_ = kNoTime;
@@ -821,11 +822,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     }
   }
 
-  publish_plan(now);
-  rec.epoch = plan_.epoch;
-  ledger_.record(rec);
-  stats_.total_sched_seconds += timer.elapsed_seconds();
-  return plan_;
+  return finish();
 }
 
 void MrcpRm::publish_plan(Time now) {

@@ -129,8 +129,10 @@ Time Model::completion_lower_bound(CpJobIndex job) const {
   //      job's map phase needs ceil(map_work / total_map_slots) and its
   //      reduce phase ceil(reduce_work / total_reduce_slots) from s_j —
   //      phases are sequential.
+  // (a) is static_earliest_start() per task, with the map barrier it
+  // recomputes for every reduce folded into one pass over the maps, so
+  // the bound stays linear in the job's tasks and direct predecessors.
   const CpJob& j = jobs_[static_cast<std::size_t>(job)];
-  Time completion = j.earliest_start;
   Time map_work{};
   Time reduce_work{};
   // Both bounds use assignment-independent duration lower bounds: a
@@ -141,17 +143,37 @@ Time Model::completion_lower_bound(CpJobIndex job) const {
     return task.pinned ? duration_on(t, task.pinned_resource)
                        : min_duration(t);
   };
+  // Earliest start of an unpinned task from s_j (or the map barrier)
+  // and its direct user predecessors.
+  auto unpinned_est = [&](CpTaskIndex t, Time est) {
+    for (CpTaskIndex p : preds_[static_cast<std::size_t>(t)]) {
+      const CpTask& pt = tasks_[static_cast<std::size_t>(p)];
+      const Time start_lb =
+          pt.pinned ? pt.pinned_start
+                    : jobs_[static_cast<std::size_t>(pt.job)].earliest_start;
+      est = std::max(est, start_lb + duration_lb(p));
+    }
+    return est;
+  };
+  Time completion = j.earliest_start;
+  Time barrier = j.earliest_start;  // no reduce starts before every map ends
   for (CpTaskIndex t : j.map_tasks) {
     const CpTask& task = tasks_[static_cast<std::size_t>(t)];
-    completion =
-        std::max(completion, static_earliest_start(t) + duration_lb(t));
-    if (!task.pinned) map_work += duration_lb(t);
+    const Time dur = duration_lb(t);
+    const Time start =
+        task.pinned ? task.pinned_start : unpinned_est(t, j.earliest_start);
+    completion = std::max(completion, start + dur);
+    barrier = std::max(
+        barrier, (task.pinned ? task.pinned_start : j.earliest_start) + dur);
+    if (!task.pinned) map_work += dur;
   }
   for (CpTaskIndex t : j.reduce_tasks) {
     const CpTask& task = tasks_[static_cast<std::size_t>(t)];
-    completion =
-        std::max(completion, static_earliest_start(t) + duration_lb(t));
-    if (!task.pinned) reduce_work += duration_lb(t);
+    const Time dur = duration_lb(t);
+    const Time start =
+        task.pinned ? task.pinned_start : unpinned_est(t, barrier);
+    completion = std::max(completion, start + dur);
+    if (!task.pinned) reduce_work += dur;
   }
   std::int64_t map_slots = 0;
   std::int64_t reduce_slots = 0;
@@ -181,12 +203,15 @@ std::string Model::validate() const {
   const bool links = links_constrained();
   for (std::size_t ti = 0; ti < tasks_.size(); ++ti) {
     const CpTask& t = tasks_[ti];
-    const std::string where = "task " + std::to_string(ti) + ": ";
-    if (t.duration <= Time{0}) return where + "non-positive duration";
-    if (t.demand < 1) return where + "demand < 1";
+    // The "task N: " prefix is only formatted on the failure path.
+    auto fail = [ti](const char* what) {
+      return "task " + std::to_string(ti) + ": " + what;
+    };
+    if (t.duration <= Time{0}) return fail("non-positive duration");
+    if (t.demand < 1) return fail("demand < 1");
     for (CpResourceIndex r : t.candidates) {
       if (r < 0 || static_cast<std::size_t>(r) >= resources_.size()) {
-        return where + "candidate resource out of range";
+        return fail("candidate resource out of range");
       }
     }
     // Demand must fit on at least one candidate resource's capacity
@@ -208,27 +233,28 @@ std::string Model::validate() const {
         fits = fits || check_fit(resources_[static_cast<std::size_t>(r)]);
       }
     }
-    if (!fits) return where + "demand exceeds every candidate's capacity";
+    if (!fits) return fail("demand exceeds every candidate's capacity");
     if (t.pinned) {
       const auto& res = resources_[static_cast<std::size_t>(t.pinned_resource)];
       if (!check_fit(res)) {
-        return where + "pinned to resource without capacity";
+        return fail("pinned to resource without capacity");
       }
       if (!t.candidates.empty() &&
           std::find(t.candidates.begin(), t.candidates.end(), t.pinned_resource) ==
               t.candidates.end()) {
-        return where + "pinned resource not among candidates";
+        return fail("pinned resource not among candidates");
       }
     }
   }
   for (std::size_t ji = 0; ji < jobs_.size(); ++ji) {
     const CpJob& j = jobs_[ji];
-    const std::string where = "job " + std::to_string(ji) + ": ";
     // Note: deadline <= earliest_start is allowed — in the open system a
     // job's s_j is clamped to "now" on every RM invocation, so a job that
     // is already past its deadline while waiting is simply (statically)
     // late, not malformed.
-    if (j.map_tasks.empty() && j.reduce_tasks.empty()) return where + "no tasks";
+    if (j.map_tasks.empty() && j.reduce_tasks.empty()) {
+      return "job " + std::to_string(ji) + ": no tasks";
+    }
   }
 
   // Anti-affinity groups: each group needs as many pairwise-distinct

@@ -168,7 +168,10 @@ class Model {
   Time static_earliest_start(CpTaskIndex task) const;
 
   /// Lower bound on the job's completion time from static constraints
-  /// (ignores capacity). Used by the search to detect must-be-late jobs.
+  /// (ignores capacity): the latest static_earliest_start() + duration
+  /// over the job's tasks, or the energetic bound if larger. One pass
+  /// over the job's tasks and their direct predecessors. Used by the
+  /// search to detect must-be-late jobs.
   Time completion_lower_bound(CpJobIndex job) const;
 
   /// True when any resource has net_capacity > 0: the cluster models

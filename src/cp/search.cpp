@@ -1,9 +1,11 @@
 #include "cp/search.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "common/stopwatch.h"
@@ -50,13 +52,17 @@ std::vector<int> make_job_ranks(const Model& model, JobOrdering ordering) {
   // stays bit-identical to the pre-extension solver.
   const bool defer_hopeless =
       model.hetero_speeds() || model.num_affinity_groups() > 0;
-  auto hopeless = [&](CpJobIndex j) -> int {
-    if (!defer_hopeless) return 0;
-    return model.completion_lower_bound(j) > model.job(j).deadline ? 1 : 0;
-  };
+  std::vector<std::uint8_t> hopeless(n, 0);
+  if (defer_hopeless) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto cj = static_cast<CpJobIndex>(j);
+      hopeless[j] = model.completion_lower_bound(cj) > model.job(cj).deadline;
+    }
+  }
 
   auto key = [&](CpJobIndex j) -> std::tuple<int, Time, std::int64_t> {
     const CpJob& job = model.job(j);
+    const int late = hopeless[static_cast<std::size_t>(j)];
     // Jobs with unset external ids (-1) fall back to the model index so
     // the secondary key is always a total order — otherwise EDF/LLF/FCFS
     // ties would collapse to equal keys and the ranking would depend on
@@ -64,15 +70,16 @@ std::vector<int> make_job_ranks(const Model& model, JobOrdering ordering) {
     const std::int64_t id = job.external_id >= 0 ? job.external_id : j;
     switch (ordering) {
       case JobOrdering::kJobId:
-        return {hopeless(j), Time{0}, id};
+        return {late, Time{0}, id};
       case JobOrdering::kEdf:
-        return {hopeless(j), job.deadline, id};
+        return {late, job.deadline, id};
       case JobOrdering::kLeastLaxity:
-        return {hopeless(j), job.deadline - job.earliest_start -
-                                 work[static_cast<std::size_t>(j)],
+        return {late,
+                job.deadline - job.earliest_start -
+                    work[static_cast<std::size_t>(j)],
                 id};
       case JobOrdering::kFcfs:
-        return {hopeless(j), job.earliest_start, id};
+        return {late, job.earliest_start, id};
     }
     return {0, Time{0}, j};
   };
@@ -136,10 +143,7 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
   }
   for (std::size_t ti = 0; ti < model.num_tasks(); ++ti) {
     const CpTask& t = model.task(static_cast<CpTaskIndex>(ti));
-    if (!t.pinned) {
-      free_tasks_.push_back(static_cast<CpTaskIndex>(ti));
-      continue;
-    }
+    if (!t.pinned) continue;
     // Pinned tasks occupy their fixed resource for the duration scaled by
     // THAT machine's speed.
     const Time dur =
@@ -175,6 +179,23 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
     // Lateness of pinned tasks is covered by completion_lower_bound above.
   }
 
+  // Per-job decision segments: each job's free tasks, maps then reduces,
+  // each phase in index order (CpJob lists its tasks in index order).
+  segment_begin_.reserve(model.num_jobs() + 1);
+  segment_split_.reserve(model.num_jobs());
+  segment_tasks_.reserve(model.num_tasks());
+  for (const CpJob& j : model.jobs()) {
+    segment_begin_.push_back(segment_tasks_.size());
+    for (CpTaskIndex mt : j.map_tasks) {
+      if (!model.task(mt).pinned) segment_tasks_.push_back(mt);
+    }
+    segment_split_.push_back(segment_tasks_.size());
+    for (CpTaskIndex rt : j.reduce_tasks) {
+      if (!model.task(rt).pinned) segment_tasks_.push_back(rt);
+    }
+  }
+  segment_begin_.push_back(segment_tasks_.size());
+
   // User precedences (workflow DAGs): the decision order must fix every
   // predecessor before its successor so earliest starts propagate along
   // edges. The graph (user edges plus the implicit MapReduce barrier —
@@ -184,7 +205,9 @@ SearchRoot::SearchRoot(const Model& model) : model_(&model) {
   if (model.num_precedences() > 0) {
     succs_.assign(model.num_tasks(), {});
     indeg_.assign(model.num_tasks(), 0);
-    for (CpTaskIndex t : free_tasks_) {
+    for (CpTaskIndex t = 0; t < static_cast<CpTaskIndex>(model.num_tasks());
+         ++t) {
+      if (model.task(t).pinned) continue;
       for (CpTaskIndex p : model.predecessors(t)) {
         if (model.task(p).pinned) continue;  // already fixed at the root
         succs_[static_cast<std::size_t>(p)].push_back(t);
@@ -257,33 +280,46 @@ SetTimesSearch::SetTimesSearch(const Model& model, std::vector<int> job_rank,
 
 void SetTimesSearch::reset(const std::vector<int>& job_rank,
                            const std::vector<std::uint8_t>& lpt_within_job) {
-  MRCP_CHECK(job_rank.size() == model_.num_jobs());
-  job_rank_ = job_rank;
-  if (lpt_within_job.empty()) {
-    lpt_within_job_.assign(model_.num_jobs(), 0);
-  } else {
-    MRCP_CHECK(lpt_within_job.size() == model_.num_jobs());
-    lpt_within_job_ = lpt_within_job;
-  }
+  const std::size_t n = model_.num_jobs();
+  MRCP_CHECK(job_rank.size() == n);
+  MRCP_CHECK(lpt_within_job.empty() || lpt_within_job.size() == n);
   MRCP_AUDIT_ONLY(audit_at_root();)
 
-  // Decision order: jobs by rank; within a job maps before reduces (the
-  // reduce earliest start needs the fixed map ends); within a phase, LPT
-  // or index order per the job's lpt_within_job flag.
-  order_ = root_.free_tasks_;
-  std::stable_sort(order_.begin(), order_.end(), [&](CpTaskIndex a, CpTaskIndex b) {
-    const CpTask& ta = model_.task(a);
-    const CpTask& tb = model_.task(b);
-    const int ra = job_rank_[static_cast<std::size_t>(ta.job)];
-    const int rb = job_rank_[static_cast<std::size_t>(tb.job)];
-    if (ra != rb) return ra < rb;
-    if (ta.phase != tb.phase) return ta.phase == Phase::kMap;
-    if (lpt_within_job_[static_cast<std::size_t>(ta.job)] != 0 &&
-        ta.duration != tb.duration) {
-      return ta.duration > tb.duration;
+  // Jobs in rank order. The ranking must be a permutation of 0..n-1:
+  // the segments below are concatenated one job per rank.
+  job_at_rank_.assign(n, -1);
+  for (std::size_t j = 0; j < n; ++j) {
+    const int r = job_rank[j];
+    const bool in_range = r >= 0 && static_cast<std::size_t>(r) < n;
+    const auto slot = static_cast<std::size_t>(r);
+    if (!in_range || job_at_rank_[slot] >= 0) {
+      const std::string msg =
+          "SetTimesSearch::reset: job_rank is not a permutation (job " +
+          std::to_string(j) + " has rank " + std::to_string(r) +
+          (in_range ? ", also held by job " + std::to_string(job_at_rank_[slot])
+                    : ", out of range [0, " + std::to_string(n) + ")") +
+          ")";
+      MRCP_CHECK_MSG(false, msg.c_str());
     }
-    return a < b;
-  });
+    job_at_rank_[slot] = static_cast<CpJobIndex>(j);
+  }
+  targeted_ = true;
+
+  // Decision order: each job's segment in rank order — maps before
+  // reduces (the reduce earliest start needs the fixed map ends), each
+  // phase in index order, or longest first where lpt_within_job is set.
+  order_.clear();
+  for (const CpJobIndex j : job_at_rank_) {
+    const auto ji = static_cast<std::size_t>(j);
+    const bool lpt = !lpt_within_job.empty() && lpt_within_job[ji] != 0;
+    const std::vector<CpTaskIndex>& tasks =
+        lpt ? lpt_segments(j) : root_.segment_tasks_;
+    order_.insert(order_.end(),
+                  tasks.begin() + static_cast<std::ptrdiff_t>(
+                                      root_.segment_begin_[ji]),
+                  tasks.begin() + static_cast<std::ptrdiff_t>(
+                                      root_.segment_begin_[ji + 1]));
+  }
 
   // Re-derive the order as a priority-topological sort over the root's
   // precedence DAG (user edges + map→reduce barrier) that stays as close
@@ -322,6 +358,47 @@ void SetTimesSearch::reset(const std::vector<int>& job_rank,
                    "precedence graph has a cycle");
     std::swap(order_, topo_out_);
   }
+}
+
+const std::vector<CpTaskIndex>& SetTimesSearch::lpt_segments(CpJobIndex job) {
+  if (lpt_ready_.empty()) {
+    lpt_ready_.assign(model_.num_jobs(), 0);
+    lpt_tasks_ = root_.segment_tasks_;
+  }
+  const auto ji = static_cast<std::size_t>(job);
+  if (lpt_ready_[ji] == 0) {
+    // Longest first within each phase, duration ties by task index: a
+    // total order, so std::sort needs no stable merge buffer.
+    auto longer = [&](CpTaskIndex a, CpTaskIndex b) {
+      const Time da = model_.task(a).duration;
+      const Time db = model_.task(b).duration;
+      return da != db ? da > db : a < b;
+    };
+    const auto at = [&](std::size_t i) {
+      return lpt_tasks_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::sort(at(root_.segment_begin_[ji]), at(root_.segment_split_[ji]),
+              longer);
+    std::sort(at(root_.segment_split_[ji]), at(root_.segment_begin_[ji + 1]),
+              longer);
+    lpt_ready_[ji] = 1;
+  }
+  return lpt_tasks_;
+}
+
+void SetTimesSearch::restore_root() {
+  profiles_ = root_.profiles_;
+  net_profiles_ = root_.net_profiles_;
+  MRCP_AUDIT_ONLY({
+    audit_profiles_ = root_.audit_profiles_;
+    audit_net_profiles_ = root_.audit_net_profiles_;
+  })
+  placements_ = root_.placements_;
+  fixed_map_end_ = root_.fixed_map_end_;
+  fixed_completion_ = root_.fixed_completion_;
+  job_late_ = root_.job_late_;
+  late_count_ = root_.late_count_;
+  group_use_ = root_.group_use_;
 }
 
 Profile& SetTimesSearch::profile(CpResourceIndex r, Phase phase) {
@@ -380,8 +457,8 @@ void SetTimesSearch::audit_cross_check(CpResourceIndex r, const CpTask& t) {
 }
 
 void SetTimesSearch::audit_at_root() const {
-  // reset() relies on run() having unwound every decision: the mutable
-  // state must be exactly the root state.
+  // reset() relies on run() having restored the root state: the
+  // mutable state must be exactly the root state.
   MRCP_CHECK_MSG(late_count_ == root_.late_count_,
                  "search reuse audit: late_count diverged from root");
   MRCP_CHECK_MSG(placements_.size() == root_.placements_.size(),
@@ -590,8 +667,7 @@ void SetTimesSearch::undo(CpTaskIndex task, Level& level) {
 
 Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbent,
                              SearchStats* stats) {
-  MRCP_CHECK_MSG(job_rank_.size() == model_.num_jobs(),
-                 "SetTimesSearch::run() before reset()");
+  MRCP_CHECK_MSG(targeted_, "SetTimesSearch::run() before reset()");
   Stopwatch timer;
   SearchStats local_stats;
   SearchStats& st = stats ? *stats : local_stats;
@@ -749,11 +825,9 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
     if (over_budget()) break;
   }
 
-  // Unwind any applied decisions so the object can be reused.
-  while (depth > 0) {
-    --depth;
-    if (levels[depth].applied) undo(order_[depth], levels[depth]);
-  }
+  // Back to the root state so the object can be reused: one copy of the
+  // root instead of undoing every applied decision one at a time.
+  restore_root();
 
   return best;
 }

@@ -21,15 +21,19 @@
 //
 // Root state is factored into SearchRoot: everything that depends only on
 // the Model (pinned-task replay into the timetables, the static lateness
-// lower bounds, the precedence DAG with the implicit map→reduce barrier)
-// is computed once and shared by any number of SetTimesSearch instances.
-// A search is re-targeted at a new (job ranking, intra-job order) with
-// reset(), which costs only the decision-order rebuild — the portfolio
-// and LNS phases of solve() rely on this to run one cached search per
-// worker thread instead of reconstructing per member (docs/perf.md).
+// lower bounds, each job's decision segment, the precedence DAG with the
+// implicit map→reduce barrier) is computed once and shared by any number
+// of SetTimesSearch instances. A search is re-targeted at a new (job
+// ranking, intra-job order) with reset(), which costs only the
+// decision-order rebuild — a concatenation of per-job segments — and
+// run() ends by copying the root state back instead of undoing its
+// decisions one by one. The portfolio and LNS phases of solve() rely on
+// this to run one cached search per worker thread instead of
+// reconstructing per member (docs/perf.md).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -124,7 +128,13 @@ class SearchRoot {
   std::vector<Time> fixed_completion_;
   std::vector<std::uint8_t> job_late_;  ///< statically-late jobs
   int late_count_ = 0;
-  std::vector<CpTaskIndex> free_tasks_;  ///< non-pinned tasks, index order
+  /// Per-job decision segments (CSR): job j's free (non-pinned) tasks are
+  /// segment_tasks_[segment_begin_[j], segment_begin_[j + 1]) — its maps
+  /// in index order, then from segment_split_[j] its reduces in index
+  /// order. reset() concatenates them in rank order.
+  std::vector<std::size_t> segment_begin_;  ///< num_jobs + 1 offsets
+  std::vector<std::size_t> segment_split_;  ///< per job: first reduce
+  std::vector<CpTaskIndex> segment_tasks_;
   /// Precedence DAG over free tasks (user edges + map→reduce barrier);
   /// populated only when the model has user precedences — without them
   /// the preference order already respects the barrier.
@@ -147,7 +157,7 @@ class SetTimesSearch {
   /// SearchRoot(model) + SetTimesSearch(root) + reset(ranks, lpt).
   ///
   /// `job_rank[j]` gives job j's scheduling priority (lower = fixed
-  /// earlier). Must be a permutation-like ranking of all jobs.
+  /// earlier). Must be a permutation of 0..num_jobs-1.
   ///
   /// `lpt_within_job[j]` selects the intra-job decision order: when set,
   /// job j's tasks are fixed longest-first (LPT — reproduces the job's
@@ -159,12 +169,16 @@ class SetTimesSearch {
                  std::vector<std::uint8_t> lpt_within_job = {});
 
   /// Re-target the search at a new (job ranking, intra-job order). Only
-  /// the decision order is recomputed — the timetables, placements and
+  /// the decision order is recomputed, by concatenating the root's
+  /// per-job segments in rank order (LPT segments are sorted on first use
+  /// and cached in this search) — the timetables, placements and
   /// lateness state are already back at the root state because run()
-  /// always unwinds its decisions (verified against the root in
-  /// MRCP_AUDIT builds). Scratch buffers (choice lists, topo heaps) keep
-  /// their capacity across resets, so a reused search allocates nothing
-  /// in steady state. Same `lpt_within_job` semantics as the constructor.
+  /// always restores it (verified against the root in MRCP_AUDIT
+  /// builds). A `job_rank` that is not a permutation of 0..num_jobs-1 is
+  /// a fatal error naming the offending job. Scratch buffers (choice
+  /// lists, topo heaps) keep their capacity across resets, so a reused
+  /// search allocates nothing in steady state. Same `lpt_within_job`
+  /// semantics as the constructor.
   void reset(const std::vector<int>& job_rank,
              const std::vector<std::uint8_t>& lpt_within_job = {});
 
@@ -172,7 +186,7 @@ class SetTimesSearch {
   /// branch-and-bound upper bound (the paper's warm start across MRCP-RM
   /// invocations). Returns the best solution found (always valid for a
   /// structurally valid model). The search object is reusable afterwards:
-  /// every decision is undone on exit, restoring the root state.
+  /// on exit its mutable state is copied back from the root.
   Solution run(const SearchLimits& limits, const Solution* incumbent,
                SearchStats* stats);
 
@@ -209,7 +223,7 @@ class SetTimesSearch {
   /// resource `r` against their shadow reference oracles.
   void audit_cross_check(CpResourceIndex r, const CpTask& t);
   /// Verify the mutable state equals the root state (called by reset():
-  /// run() must have unwound every decision).
+  /// run() must have restored it).
   void audit_at_root() const;
 #endif
   /// Earliest start >= est feasible on BOTH the phase-slot profile and
@@ -228,16 +242,25 @@ class SetTimesSearch {
   }
   void build_choices(CpTaskIndex task, Level& level);
   void apply(CpTaskIndex task, Level& level, const Choice& choice);
+  /// Undo the level's applied choice (B&B backtracking).
   void undo(CpTaskIndex task, Level& level);
+  /// Copy every piece of mutable state back from the root (end of run()).
+  void restore_root();
+  /// This search's LPT segments: same layout as the root's
+  /// segment_tasks_, with `job`'s segment sorted longest first within
+  /// each phase on first use. Jobs never run LPT are never sorted.
+  const std::vector<CpTaskIndex>& lpt_segments(CpJobIndex job);
 
   /// Owning storage for the convenience constructor; unused when sharing.
   std::unique_ptr<SearchRoot> owned_root_;
   const SearchRoot& root_;
   const Model& model_;
   bool links_constrained_ = false;  ///< cached Model::links_constrained()
-  std::vector<int> job_rank_;
-  std::vector<std::uint8_t> lpt_within_job_;
-  std::vector<CpTaskIndex> order_;  ///< non-pinned tasks, decision order
+  bool targeted_ = false;                ///< reset() has run
+  std::vector<CpJobIndex> job_at_rank_;  ///< inverse of the job ranking
+  std::vector<CpTaskIndex> order_;       ///< free tasks, decision order
+  std::vector<CpTaskIndex> lpt_tasks_;   ///< see lpt_segments()
+  std::vector<std::uint8_t> lpt_ready_;  ///< per job: LPT segment sorted
 
   std::vector<Profile> profiles_;      ///< [resource * 2 + phase]
   std::vector<Profile> net_profiles_;  ///< [resource], link usage

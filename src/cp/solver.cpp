@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -168,24 +169,35 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // task endings leave earlier holes for future arrivals, a benefit the
   // per-solve objective cannot see; all-FIFO and all-LPT must strictly
   // improve to be chosen.
-  const std::vector<std::uint8_t> adaptive = adaptive_lpt_flags(model);
-  const std::vector<std::vector<std::uint8_t>> intra_variants = {
-      adaptive, std::vector<std::uint8_t>(model.num_jobs(), 0),
-      std::vector<std::uint8_t>(model.num_jobs(), 1)};
+  enum class IntraOrder { kAdaptive, kFifo, kLpt };
+  constexpr IntraOrder kIntraOrders[] = {IntraOrder::kAdaptive,
+                                         IntraOrder::kFifo, IntraOrder::kLpt};
 
+  // Members are built lazily: a member computes its ranks and intra-job
+  // flags only when it runs, so a portfolio cut short at the root bound
+  // pays for the members it ran. Each member index is run by exactly one
+  // thread, which alone writes its ranks and lpt.
   struct Member {
     JobOrdering ordering;
+    IntraOrder intra;
     std::vector<int> ranks;
     std::vector<std::uint8_t> lpt;
   };
   std::vector<Member> members;
-  members.reserve(params.portfolio.size() * intra_variants.size());
+  members.reserve(params.portfolio.size() * std::size(kIntraOrders));
   for (JobOrdering ordering : params.portfolio) {
-    const std::vector<int> ranks = make_job_ranks(model, ordering);
-    for (const std::vector<std::uint8_t>& lpt_variant : intra_variants) {
-      members.push_back(Member{ordering, ranks, lpt_variant});
+    for (IntraOrder intra : kIntraOrders) {
+      members.push_back(Member{ordering, intra, {}, {}});
     }
   }
+  auto build_member = [&](Member& m) {
+    m.ranks = make_job_ranks(model, m.ordering);
+    switch (m.intra) {
+      case IntraOrder::kAdaptive: m.lpt = adaptive_lpt_flags(model); break;
+      case IntraOrder::kFifo: m.lpt.assign(model.num_jobs(), 0); break;
+      case IntraOrder::kLpt: m.lpt.assign(model.num_jobs(), 1); break;
+    }
+  };
 
   // Root-bound stop: the statically-late jobs are late in every leaf, so
   // no solution has fewer than root.late_count() late jobs, and once the
@@ -213,6 +225,7 @@ SolveResult solve(const Model& model, const SolveParams& params,
     out.ran = true;
     const SearchLimits limits = descent_limits(0.05);
     SetTimesSearch& search = local_search();
+    build_member(members[i]);
     search.reset(members[i].ranks, members[i].lpt);
     out.sol = search.run(limits, nullptr, &out.stats);
     if (at_bound(out.sol)) {

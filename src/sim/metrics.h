@@ -84,6 +84,10 @@ struct SimMetrics {
   FailureMetrics failure;
   /// Degraded-mode attribution (MRCP-RM only; zero for baselines).
   DegradationCounts degradation;
+  /// MRCP-RM's ledger, one record per reschedule() call in call order
+  /// (empty for baselines). Records a resumed run restored from its
+  /// journal carry no side-channel fields (wall_seconds reads 0).
+  std::vector<InvocationRecord> invocations;
   double total_sched_seconds = 0.0;
   std::uint64_t rm_invocations = 0;
   std::uint64_t max_live_tasks = 0;

@@ -647,6 +647,7 @@ class MrcpSimDriver {
     // after the last arrival-triggered invocation.
     const MrcpStats& rm_stats = rm_.stats();
     metrics_.degradation = rm_.degradation_counts();
+    metrics_.invocations = rm_.ledger().records();
     metrics_.total_sched_seconds = rm_stats.total_sched_seconds;
     metrics_.rm_invocations = rm_stats.invocations;
     metrics_.max_live_tasks = rm_stats.max_live_tasks;

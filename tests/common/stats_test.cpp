@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace mrcp {
 namespace {
@@ -109,6 +110,19 @@ TEST(FormatCi, Renders) {
   ci.mean = 1.2345;
   ci.half_width = 0.01;
   EXPECT_EQ(format_ci(ci, 2), "1.23 ±0.01");
+}
+
+TEST(PercentileNearestRank, PicksTheNearestRankSample) {
+  EXPECT_EQ(percentile_nearest_rank({}, 0.5), 0.0);
+  EXPECT_EQ(percentile_nearest_rank({7.0}, 0.99), 7.0);
+  EXPECT_EQ(percentile_nearest_rank({4.0, 1.0, 3.0, 2.0}, 0.5), 2.0);
+  EXPECT_EQ(percentile_nearest_rank({4.0, 1.0, 3.0, 2.0}, 1.0), 4.0);
+  std::vector<double> v;
+  for (int i = 1000; i >= 1; --i) v.push_back(i);
+  // 0.99 * 1000 is 990 up to rounding: ten samples stay above the p99.
+  EXPECT_EQ(percentile_nearest_rank(v, 0.99), 990.0);
+  EXPECT_EQ(percentile_nearest_rank(v, 0.5), 500.0);
+  EXPECT_EQ(percentile_nearest_rank(v, 0.001), 1.0);
 }
 
 }  // namespace

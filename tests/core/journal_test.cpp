@@ -240,14 +240,16 @@ TEST(JournalCodecs, InvocationRecordRoundTrip) {
 }
 
 TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
-  // The portfolio why-fields are a side channel: journal bytes (and so
-  // snapshots and recovery) must not depend on them.
+  // The portfolio why-fields and the call's wall clock are a side
+  // channel: journal bytes (and so snapshots and recovery) must not
+  // depend on them.
   Rng rng(9);
   for (int i = 0; i < 100; ++i) {
     const InvocationRecord rec = rnd_invocation(rng);
     InvocationRecord with_provenance = rec;
     with_provenance.portfolio_members_run = 1 + static_cast<int>(rng() % 9);
     with_provenance.portfolio_stopped_at_bound = true;
+    with_provenance.wall_seconds = 1e-3 * static_cast<double>(1 + rng() % 500);
     io::Encoder plain;
     encode_invocation_record(plain, rec);
     io::Encoder marked;

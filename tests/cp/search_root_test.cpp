@@ -1,11 +1,12 @@
 // SearchRoot sharing and SetTimesSearch::reset() determinism: a search
 // cached across reset()s must behave exactly like a freshly constructed
 // one for every (job ranking, intra-job order) — including models with
-// pinned tasks and user-precedence DAGs, warm starts, and repeated runs
-// of the same configuration. run() unwinds every decision on exit, so
-// reset() only rebuilds the decision order; these tests are the
-// executable statement of that contract (audited internally by
-// audit_at_root() in MRCP_AUDIT builds).
+// pinned tasks and user-precedence DAGs, warm starts, repeated runs of
+// the same configuration, and runs that stop in the middle of
+// branch-and-bound. run() restores the root state on exit, so reset()
+// only rebuilds the decision order; these tests are the executable
+// statement of that contract (audited internally by audit_at_root() in
+// MRCP_AUDIT builds).
 #include "cp/search.h"
 
 #include <gtest/gtest.h>
@@ -41,9 +42,11 @@ SearchLimits bnb_limits() {
 /// Random instance optionally exercising every piece of root state
 /// SearchRoot precomputes: pinned tasks (timetable replay, fixed
 /// completions, possibly statically-late jobs) and a user-precedence DAG
-/// (the priority-topo decision-order rebuild).
-Model random_model(std::uint64_t seed, bool with_pins,
-                   bool with_precedences) {
+/// (the priority-topo decision-order rebuild). `tight` quarters every
+/// deadline window (same draws otherwise) so that some jobs are late and
+/// branch-and-bound has work to do.
+Model random_model(std::uint64_t seed, bool with_pins, bool with_precedences,
+                   bool tight = false) {
   RandomStream rng(seed, 0x5E);
   Model m;
   const CpResourceIndex r0 = m.add_resource(2, 2);
@@ -52,7 +55,9 @@ Model random_model(std::uint64_t seed, bool with_pins,
   const int num_jobs = static_cast<int>(rng.uniform_int(4, 8));
   for (int j = 0; j < num_jobs; ++j) {
     const Time est{rng.uniform_int(0, 60)};
-    const CpJobIndex cj = m.add_job(est, est + Time{rng.uniform_int(60, 180)}, j);
+    const std::int64_t window = rng.uniform_int(60, 180);
+    const CpJobIndex cj =
+        m.add_job(est, est + Time{tight ? window / 4 : window}, j);
     std::vector<CpTaskIndex> maps;
     const int nm = static_cast<int>(rng.uniform_int(1, 4));
     for (int t = 0; t < nm; ++t) {
@@ -192,6 +197,53 @@ TEST_P(SearchRootReuse, WarmStartedBnBMatchesFresh) {
   EXPECT_EQ(fresh_stats.exhausted, reused_stats.exhausted);
 }
 
+TEST_P(SearchRootReuse, ResetAfterMidBnBStopMatchesFresh) {
+  // A B&B run cut by its fail budget returns with decisions still
+  // applied below the root; the next reset()/run() must not see them.
+  const auto [seed, with_pins, with_precedences] = GetParam();
+  const Model m = random_model(seed, with_pins, with_precedences, true);
+  ASSERT_EQ(m.validate(), "");
+  const std::vector<int> ranks = make_job_ranks(m, JobOrdering::kEdf);
+  const std::vector<int> other = make_job_ranks(m, JobOrdering::kLeastLaxity);
+  const std::vector<std::uint8_t> lpt(m.num_jobs(), 1);
+
+  SearchLimits cut = bnb_limits();
+  cut.max_fails = 3;
+  const SearchRoot root(m);
+  SetTimesSearch reused(root);
+  reused.reset(ranks);
+  SearchStats cut_stats;
+  const Solution cut_sol = reused.run(cut, nullptr, &cut_stats);
+  ASSERT_TRUE(cut_sol.valid);
+
+  SetTimesSearch fresh_cut(m, ranks);
+  SearchStats fresh_cut_stats;
+  expect_identical(fresh_cut.run(cut, nullptr, &fresh_cut_stats), cut_sol,
+                   "cut B&B fresh vs root-shared");
+  EXPECT_EQ(fresh_cut_stats.fails, cut_stats.fails);
+
+  // Re-run the same cut search, then switch ranking and intra-job order.
+  reused.reset(ranks);
+  SearchStats again_stats;
+  expect_identical(cut_sol, reused.run(cut, nullptr, &again_stats),
+                   "cut B&B rerun after reset");
+  EXPECT_EQ(cut_stats.decisions, again_stats.decisions);
+  EXPECT_EQ(cut_stats.fails, again_stats.fails);
+
+  for (const SearchLimits& limits : {first_descent_limits(), bnb_limits()}) {
+    SetTimesSearch fresh(m, other, lpt);
+    SearchStats fresh_stats;
+    const Solution want = fresh.run(limits, nullptr, &fresh_stats);
+    reused.reset(other, lpt);
+    SearchStats reused_stats;
+    const Solution got = reused.run(limits, nullptr, &reused_stats);
+    expect_identical(want, got, "after a cut B&B, reused vs fresh");
+    EXPECT_EQ(fresh_stats.decisions, reused_stats.decisions);
+    EXPECT_EQ(fresh_stats.fails, reused_stats.fails);
+    EXPECT_EQ(fresh_stats.exhausted, reused_stats.exhausted);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SearchRootReuse,
     ::testing::Combine(::testing::Range<std::uint64_t>(1, 6),
@@ -214,6 +266,47 @@ TEST(SearchRootShared, ManySearchesOneRootAgree) {
   const Solution ra = a.run(first_descent_limits(), nullptr, &sa);
   const Solution rb = b.run(first_descent_limits(), nullptr, &sb);
   expect_identical(ra, rb, "two searches, one root");
+}
+
+TEST(SearchRootShared, MidBnBStopsHappen) {
+  // The cut-B&B reuse test above only means something if a 3-fail budget
+  // does stop searches part-way: count the seeds where it does.
+  int cut = 0;
+  for (std::uint64_t seed = 1; seed < 6; ++seed) {
+    for (const bool with_pins : {false, true}) {
+      const Model m = random_model(seed, with_pins, false, true);
+      SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kEdf));
+      SearchLimits limits = bnb_limits();
+      limits.max_fails = 3;
+      SearchStats st;
+      search.run(limits, nullptr, &st);
+      cut += st.fails > limits.max_fails && !st.exhausted ? 1 : 0;
+    }
+  }
+  EXPECT_GE(cut, 3);
+}
+
+TEST(SearchRootSharedDeathTest, ResetRejectsRankingsThatAreNotPermutations) {
+  const Model m = random_model(3, false, false);
+  ASSERT_GE(m.num_jobs(), 3u);
+  const SearchRoot root(m);
+  SetTimesSearch search(root);
+  std::vector<int> ranks = make_job_ranks(m, JobOrdering::kEdf);
+  search.reset(ranks);  // a permutation is accepted
+
+  std::vector<int> duplicate = ranks;
+  duplicate[2] = duplicate[1];
+  EXPECT_DEATH(search.reset(duplicate),
+               "job_rank is not a permutation \\(job 2 has rank [0-9]+, "
+               "also held by job 1\\)");
+  std::vector<int> out_of_range = ranks;
+  out_of_range[0] = static_cast<int>(m.num_jobs());
+  EXPECT_DEATH(search.reset(out_of_range),
+               "job_rank is not a permutation \\(job 0 has rank [0-9]+, out "
+               "of range");
+  std::vector<int> negative = ranks;
+  negative[1] = -1;
+  EXPECT_DEATH(search.reset(negative), "job 1 has rank -1, out of range");
 }
 
 TEST(SearchRootShared, LateCountIsTheStaticallyLateJobs) {

@@ -93,6 +93,26 @@ TEST(SimulateMrcp, ManyJobsAllComplete) {
   EXPECT_GT(m.total_sched_seconds, 0.0);
 }
 
+TEST(SimulateMrcp, InvocationRecordsCarryEachCallsWallClock) {
+  std::vector<Job> jobs;
+  for (int i = 0; i < 20; ++i) {
+    jobs.push_back(make_job(i, Time{i * 100}, Time{i * 100}, Time{i * 100 + 50000},
+                            {Time{100}, Time{150}, Time{200}}, {Time{250}}));
+  }
+  const Workload w = make_workload(std::move(jobs), 4, 2, 2);
+  const SimMetrics m = simulate_mrcp(w, fast_mrcp_config());
+  ASSERT_EQ(m.invocations.size(), m.rm_invocations);
+  double sum = 0.0;
+  for (const InvocationRecord& rec : m.invocations) {
+    // A call's wall clock covers the solves it made.
+    EXPECT_GE(rec.wall_seconds, rec.solve_wall_seconds);
+    EXPECT_GT(rec.wall_seconds, 0.0);
+    sum += rec.wall_seconds;
+  }
+  // O's numerator is measured after each record is closed.
+  EXPECT_LE(sum, m.total_sched_seconds);
+}
+
 TEST(SimulateMinedf, SingleJobCompletes) {
   const Workload w = make_workload(
       {make_job(0, Time{0}, Time{0}, Time{10000}, {Time{100}, Time{200}}, {Time{300}})}, 2, 1, 1);

@@ -15,10 +15,13 @@
 //            --trace-out /tmp/schedule.csv
 //   mrcp_sim --mode simulate --generator facebook --jobs 200
 //            --lambda 0.0003 --rm minedf
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "common/flags.h"
+#include "common/stats.h"
 #include "mapreduce/facebook_workload.h"
 #include "mapreduce/synthetic_workload.h"
 #include "mapreduce/workload_io.h"
@@ -180,6 +183,19 @@ int run_simulate(const Flags& flags) {
       sim::summarize_run(metrics, flags.get_double("warmup"));
   std::printf("scheduler: %s over %zu jobs\n", rm.c_str(), w.size());
   std::printf("  O = %.6f s/job\n", run.O_seconds);
+  const bool mrcp_stats = flags.get_bool("stats") && rm == "mrcp";
+  if (mrcp_stats) {
+    // The distribution behind O: every reschedule() call's wall clock.
+    std::vector<double> call_ms;
+    call_ms.reserve(metrics.invocations.size());
+    for (const InvocationRecord& rec : metrics.invocations) {
+      call_ms.push_back(rec.wall_seconds * 1e3);
+    }
+    std::printf("  reschedule p50 / p99 / max = %.3f / %.3f / %.3f ms\n",
+                percentile_nearest_rank(call_ms, 0.50),
+                percentile_nearest_rank(call_ms, 0.99),
+                percentile_nearest_rank(call_ms, 1.0));
+  }
   std::printf("  T = %.1f s\n", run.T_seconds);
   std::printf("  N = %.0f late\n", run.N_late);
   std::printf("  P = %.2f %%\n", run.P_percent);
@@ -201,7 +217,7 @@ int run_simulate(const Flags& flags) {
                 static_cast<long long>(f.jobs_late_failure_affected));
   }
 
-  if (flags.get_bool("stats") && rm == "mrcp") {
+  if (mrcp_stats) {
     const DegradationCounts& d = metrics.degradation;
     std::printf("solver:\n");
     std::printf("  invocations = %llu, solve attempts = %llu\n",
@@ -210,6 +226,16 @@ int run_simulate(const Flags& flags) {
     std::printf("  solve wall = %.3f s, max live tasks = %llu\n",
                 d.solve_wall_seconds,
                 static_cast<unsigned long long>(metrics.max_live_tasks));
+    // Solves whose wall clock reached the budget: where the budget cut a
+    // search, the plan depends on host speed (docs/simulation.md).
+    const double budget = flags.get_double("solver-budget-s");
+    const auto budget_bound = std::count_if(
+        metrics.invocations.begin(), metrics.invocations.end(),
+        [&](const InvocationRecord& rec) {
+          return rec.attempts > 0 && rec.solve_wall_seconds >= budget;
+        });
+    std::printf("  budget-bound solves = %lld\n",
+                static_cast<long long>(budget_bound));
     std::printf("degradation:\n");
     std::printf("  primary = %llu, retry = %llu, fallback = %llu\n",
                 static_cast<unsigned long long>(d.primary),
