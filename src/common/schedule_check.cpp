@@ -70,44 +70,62 @@ std::string capacity_sweep(const std::vector<ScheduleRow>& rows,
   const bool links_constrained =
       std::any_of(capacity.begin(), capacity.end(),
                   [](const ResourceCapacity& c) { return c.net > 0; });
+  // One series of deltas per (resource, dim), dim 0 map, 1 reduce, 2 net,
+  // laid out in (resource, dim) order: a counting pass sizes each series,
+  // so only the deltas within a series need sorting, by time alone.
+  constexpr std::size_t kDims = 3;
+  auto series = [](int resource, int dim) {
+    return static_cast<std::size_t>(resource) * kDims +
+           static_cast<std::size_t>(dim);
+  };
+  auto has_net = [&](const ScheduleRow& r) {
+    return links_constrained && r.net_demand > 0;
+  };
+  std::vector<std::size_t> begin(capacity.size() * kDims + 1, 0);
+  for (const ScheduleRow& r : rows) {
+    begin[series(r.resource, static_cast<int>(r.dim)) + 1] += 2;
+    if (has_net(r)) begin[series(r.resource, 2) + 1] += 2;
+  }
+  for (std::size_t s = 1; s < begin.size(); ++s) begin[s] += begin[s - 1];
   struct Delta {
-    int resource;
-    int dim;  ///< 0 map, 1 reduce, 2 net
     Time at;
     int change;
-    auto key() const { return std::tie(resource, dim, at); }
   };
-  std::vector<Delta> deltas;
-  deltas.reserve(rows.size() * 2);
+  std::vector<Delta> deltas(begin.back());
+  std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+  auto add = [&](std::size_t s, Time start, Time end, int demand) {
+    deltas[fill[s]++] = {start, demand};
+    deltas[fill[s]++] = {end, -demand};
+  };
   for (const ScheduleRow& r : rows) {
-    const int dim = static_cast<int>(r.dim);
-    deltas.push_back({r.resource, dim, r.start, r.demand});
-    deltas.push_back({r.resource, dim, r.end, -r.demand});
-    if (links_constrained && r.net_demand > 0) {
-      deltas.push_back({r.resource, 2, r.start, r.net_demand});
-      deltas.push_back({r.resource, 2, r.end, -r.net_demand});
-    }
+    add(series(r.resource, static_cast<int>(r.dim)), r.start, r.end,
+        r.demand);
+    if (has_net(r)) add(series(r.resource, 2), r.start, r.end, r.net_demand);
   }
-  std::sort(deltas.begin(), deltas.end(),
-            [](const Delta& a, const Delta& b) { return a.key() < b.key(); });
-  // Every interval opens and closes in one (resource, dim) series, so
-  // usage is back to 0 wherever a series ends.
-  int usage = 0;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    const Delta& d = deltas[i];
-    usage += d.change;
-    const bool last = i + 1 == deltas.size();
-    // Compare once per instant, after all of its deltas are summed.
-    if (!last && deltas[i + 1].key() == d.key()) continue;
-    const ResourceCapacity& c =
-        capacity[static_cast<std::size_t>(d.resource)];
-    const int cap = d.dim == 0 ? c.map : d.dim == 1 ? c.reduce : c.net;
-    if (usage > cap) {
-      static constexpr const char* kDimName[] = {"map", "reduce", "net"};
-      return "resource " + std::to_string(d.resource) + " " +
-             kDimName[d.dim] + " capacity exceeded at t=" +
-             std::to_string(d.at.count()) + " (" + std::to_string(usage) +
-             " > " + std::to_string(cap) + ")";
+  // Every interval opens and closes in its own series, so usage is back
+  // to 0 wherever a series ends.
+  for (std::size_t s = 0; s + 1 < begin.size(); ++s) {
+    const auto first = deltas.begin() + static_cast<std::ptrdiff_t>(begin[s]);
+    const auto last =
+        deltas.begin() + static_cast<std::ptrdiff_t>(begin[s + 1]);
+    std::sort(first, last,
+              [](const Delta& a, const Delta& b) { return a.at < b.at; });
+    const int resource = static_cast<int>(s / kDims);
+    const int dim = static_cast<int>(s % kDims);
+    const ResourceCapacity& c = capacity[static_cast<std::size_t>(resource)];
+    const int cap = dim == 0 ? c.map : dim == 1 ? c.reduce : c.net;
+    int usage = 0;
+    for (auto it = first; it != last; ++it) {
+      usage += it->change;
+      // Compare once per instant, after all of its deltas are summed.
+      if (it + 1 != last && (it + 1)->at == it->at) continue;
+      if (usage > cap) {
+        static constexpr const char* kDimName[] = {"map", "reduce", "net"};
+        return "resource " + std::to_string(resource) + " " +
+               kDimName[dim] + " capacity exceeded at t=" +
+               std::to_string(it->at.count()) + " (" +
+               std::to_string(usage) + " > " + std::to_string(cap) + ")";
+      }
     }
   }
   return "";

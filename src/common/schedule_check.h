@@ -7,8 +7,8 @@
 // downtime. The constraints they share are checked here, once:
 //
 //   * map, reduce and link capacity per resource (paper Table 1
-//     constraints 5/6 plus the §VII link dimension), swept over one
-//     vector sorted by (resource, dimension, time);
+//     constraints 5/6 plus the §VII link dimension), swept one
+//     (resource, dimension) series at a time, each sorted by time;
 //   * anti-affinity: rows sharing a group sit on distinct resources;
 //   * the map→reduce barrier (constraint 3);
 //   * workflow precedence edges.
@@ -73,7 +73,8 @@ struct RowEdge {
 /// net demand is swept on every resource, so a zero-capacity one rejects
 /// it. Deltas at one instant are summed before the compare, so
 /// back-to-back intervals are legal. Returns "" or a located description
-/// of the first violation found.
+/// of the first violation found; capacity violations are searched in
+/// (resource, map / reduce / net, time) order.
 std::string check_schedule(const std::vector<ScheduleRow>& rows,
                            const std::vector<ResourceCapacity>& capacity,
                            const std::vector<RowEdge>& edges);

@@ -49,6 +49,9 @@ struct InvocationRecord {
   /// Plan provenance of the last attempt.
   int portfolio_members_run = 0;  ///< cp::SolveStats::portfolio_members_run
   bool portfolio_stopped_at_bound = false;  ///< reached the root lower bound
+  int winning_member = -1;  ///< cp::SolveStats::winning_member
+  /// cp::SolveStats::repeat_descents_skipped, summed over all attempts.
+  std::int64_t repeat_descents_skipped = 0;
   /// Wall clock of the whole reschedule() call, up to publishing its plan
   /// (the per-call share of the paper's O).
   double wall_seconds = 0.0;

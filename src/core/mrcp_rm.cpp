@@ -635,6 +635,8 @@ const Plan& MrcpRm::reschedule(Time now) {
       rec.last_status = r.status;
       rec.portfolio_members_run = r.stats.portfolio_members_run;
       rec.portfolio_stopped_at_bound = r.stats.portfolio_stopped_at_bound;
+      rec.winning_member = r.stats.winning_member;
+      rec.repeat_descents_skipped += r.stats.repeat_descents_skipped;
       rec.solve_wall_seconds += r.wall_seconds;
       stats_.solve_wall_seconds += r.wall_seconds;
       stats_.solver_decisions += r.stats.decisions;

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -173,15 +174,21 @@ SolveResult solve(const Model& model, const SolveParams& params,
   constexpr IntraOrder kIntraOrders[] = {IntraOrder::kAdaptive,
                                          IntraOrder::kFifo, IntraOrder::kLpt};
 
-  // Members are built lazily: a member computes its ranks and intra-job
-  // flags only when it runs, so a portfolio cut short at the root bound
-  // pays for the members it ran. Each member index is run by exactly one
-  // thread, which alone writes its ranks and lpt.
+  // Members are built lazily: member 0 computes its ranks and intra-job
+  // flags only when it runs, and the others only once member 0 has
+  // missed the root bound, so a portfolio cut short at the bound pays for
+  // the members it ran. Fan-out runs each member index on exactly one
+  // thread, which alone writes its result slot.
   struct Member {
     JobOrdering ordering;
     IntraOrder intra;
     std::vector<int> ranks;
     std::vector<std::uint8_t> lpt;
+    bool built = false;
+    /// Earlier member with the same (ranks, lpt) key, or -1. A descent is
+    /// a function of its key alone, so a repeat would return that
+    /// member's solution again and can never win the fold below.
+    int repeat_of = -1;
   };
   std::vector<Member> members;
   members.reserve(params.portfolio.size() * std::size(kIntraOrders));
@@ -191,12 +198,17 @@ SolveResult solve(const Model& model, const SolveParams& params,
     }
   }
   auto build_member = [&](Member& m) {
+    if (m.built) return;
+    m.built = true;
     m.ranks = make_job_ranks(model, m.ordering);
     switch (m.intra) {
       case IntraOrder::kAdaptive: m.lpt = adaptive_lpt_flags(model); break;
       case IntraOrder::kFifo: m.lpt.assign(model.num_jobs(), 0); break;
       case IntraOrder::kLpt: m.lpt.assign(model.num_jobs(), 1); break;
     }
+  };
+  auto same_key = [](const Member& a, const Member& b) {
+    return a.ranks == b.ranks && a.lpt == b.lpt;
   };
 
   // Root-bound stop: the statically-late jobs are late in every leaf, so
@@ -234,29 +246,51 @@ SolveResult solve(const Model& model, const SolveParams& params,
       }
     }
   };
-  if (pool) {
-    pool->run_indexed(members.size(), run_member);
-  } else {
-    for (std::size_t i = 0; i < members.size(); ++i) run_member(i);
+  // Member 0 runs alone: most solves end there, at the bound. Otherwise
+  // every key is built and repeats are marked in member order before the
+  // fan-out, so the pool and the sequential path run the same members.
+  run_member(0);
+  if (skip_from.load() > 1) {
+    std::vector<std::size_t> distinct;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      build_member(members[i]);
+      for (std::size_t j = 0; j < i && members[i].repeat_of < 0; ++j) {
+        if (same_key(members[i], members[j])) {
+          members[i].repeat_of = static_cast<int>(j);
+        }
+      }
+      if (i > 0 && members[i].repeat_of < 0) distinct.push_back(i);
+    }
+    auto run_distinct = [&](std::size_t k) { run_member(distinct[k]); };
+    if (pool && distinct.size() > 1) {
+      pool->run_indexed(distinct.size(), run_distinct);
+    } else {
+      for (std::size_t k = 0; k < distinct.size(); ++k) run_distinct(k);
+    }
   }
   // Post-barrier audit, before the fold consumes the member solutions:
   // every member that ran must have produced a constraint-satisfying
   // solution, and the fold below must land exactly on the best late-count
   // in the member set — a pure function of (warm start, member order),
   // which is what makes the winner independent of thread count and
-  // completion timing. A member that did not run was skipped either by
-  // the exhausted budget or because the warm start or a lower-index
-  // member had already reached the root bound.
+  // completion timing. A member that did not run was skipped by the
+  // exhausted budget, because the warm start or a lower-index member had
+  // already reached the root bound, or as a repeat of an earlier
+  // member's key.
   MRCP_AUDIT_ONLY(
       int audit_expected_late = best.valid ? best.num_late
                                            : std::numeric_limits<int>::max();
       bool audit_bound_before = at_bound(best);
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (!member_results[i].ran) {
-          MRCP_CHECK_MSG(audit_bound_before || remaining() <= 0.0,
+          const int j = members[i].repeat_of;
+          const bool repeat =
+              j >= 0 && static_cast<std::size_t>(j) < i &&
+              same_key(members[i], members[static_cast<std::size_t>(j)]);
+          MRCP_CHECK_MSG(audit_bound_before || remaining() <= 0.0 || repeat,
                          "portfolio skip audit: member skipped with neither "
-                         "an earlier incumbent at the root bound nor an "
-                         "exhausted budget");
+                         "an earlier incumbent at the root bound, an "
+                         "exhausted budget nor an earlier member's key");
           continue;
         }
         audit_bound_before =
@@ -274,20 +308,29 @@ SolveResult solve(const Model& model, const SolveParams& params,
   // the members sequentially. Selection is keyed on the primary
   // objective only: the completion-time tie-break would otherwise always
   // pick all-LPT by an epsilon, re-synchronizing task endings and
-  // hurting future arrivals the current model cannot see.
+  // hurting future arrivals the current model cannot see. Member keys
+  // stay in place: LNS seeds its memo from them below.
+  const std::size_t first_skipped = skip_from.load();
+  int fold_late = best.valid ? best.num_late : std::numeric_limits<int>::max();
   for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i].repeat_of >= 0 && i < first_skipped) {
+      ++stats.repeat_descents_skipped;
+    }
     if (!member_results[i].ran) continue;
     ++stats.portfolio_members_run;
     account(member_results[i].stats);
-    Solution& sol = member_results[i].sol;
-    const bool strictly_fewer_late =
-        sol.valid && (!best.valid || sol.num_late < best.num_late);
-    if (strictly_fewer_late) {
-      best = std::move(sol);
-      best_ranks = std::move(members[i].ranks);
-      best_lpt = std::move(members[i].lpt);
-      stats.best_ordering = members[i].ordering;
+    const Solution& sol = member_results[i].sol;
+    if (sol.valid && sol.num_late < fold_late) {
+      fold_late = sol.num_late;
+      stats.winning_member = static_cast<int>(i);
     }
+  }
+  if (stats.winning_member >= 0) {
+    const auto w = static_cast<std::size_t>(stats.winning_member);
+    best = std::move(member_results[w].sol);
+    best_ranks = members[w].ranks;
+    best_lpt = members[w].lpt;
+    stats.best_ordering = members[w].ordering;
   }
   MRCP_AUDIT_ONLY({
     const int folded = best.valid ? best.num_late
@@ -336,6 +379,23 @@ SolveResult solve(const Model& model, const SolveParams& params,
       std::vector<int> ranks;
       std::vector<std::uint8_t> lpt;
     };
+    // Descent memo: the (ranks, lpt) keys this solve has already taken.
+    // A re-run returns the same solution or is cut by the shared bound,
+    // and neither passes better_than(best), so a neighbourhood whose key
+    // is here is skipped (its RNG draws still happen). A member's key
+    // enters only if its solution is not better_than the incumbent: the
+    // portfolio fold compares late counts alone, so a member that ties
+    // the winner with a smaller total completion would be accepted here.
+    // Only members the sequential run reaches count, so the memo is the
+    // same on the pool path, where later members may finish anyway.
+    std::set<std::pair<std::vector<int>, std::vector<std::uint8_t>>> taken;
+    for (std::size_t i = 0; i < members.size() && i < first_skipped; ++i) {
+      const bool winner = static_cast<int>(i) == stats.winning_member;
+      if (member_results[i].ran &&
+          (winner || !member_results[i].sol.better_than(best))) {
+        taken.emplace(members[i].ranks, members[i].lpt);
+      }
+    }
     int iters_left = params.lns_iterations;
     std::vector<ResultSlot> round_results;
     while (iters_left > 0) {
@@ -367,6 +427,10 @@ SolveResult solve(const Model& model, const SolveParams& params,
           const auto b = static_cast<std::size_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(model.num_jobs()) - 1));
           std::swap(ranks[a], ranks[b]);
+        }
+        if (!taken.emplace(ranks, lpt).second) {
+          ++stats.repeat_descents_skipped;
+          continue;
         }
         nbhs.push_back(Neighbourhood{std::move(ranks), std::move(lpt)});
       }

@@ -16,6 +16,15 @@
 // Phase 2 and 3 only run while jobs are still late — a zero-late
 // incumbent is optimal for the paper's objective.
 //
+// A first descent is a function of its key, the (job ranks, intra-job
+// LPT flags) pair, so a solve never takes the same key twice: a member
+// whose key equals an earlier member's is skipped (it could only tie
+// that member in the fold), and an LNS neighbourhood whose key an
+// earlier descent of the same solve already took is skipped after its
+// RNG draws (its re-run could not pass better_than the incumbent).
+// Portfolio keys seed the LNS memo only when their solution is not
+// better_than the LNS-start incumbent — see docs/cp_engine.md.
+//
 // With num_threads > 1 the portfolio members and each LNS round's
 // neighbourhoods run concurrently on a ThreadPool, sharing an atomic
 // incumbent late-count that prunes strictly-worse branches. Winner
@@ -91,10 +100,21 @@ struct SolveStats {
   double lns_seconds = 0.0;
   JobOrdering best_ordering = JobOrdering::kEdf;
   /// Portfolio members that ran a descent. Fewer than the portfolio size
-  /// when the root bound or the budget stopped phase 1 early; on the
-  /// pool path members already running when the bound is reached finish
-  /// anyway, so this count (unlike the solution) may vary with timing.
+  /// when the root bound or the budget stopped phase 1 early, or when
+  /// members repeat an earlier member's key (only distinct keys run); on
+  /// the pool path members already running when the bound is reached
+  /// finish anyway, so this count (unlike the solution) may vary with
+  /// timing.
   int portfolio_members_run = 0;
+  /// Index of the member the portfolio fold chose (ordering-major, then
+  /// adaptive / FIFO / LPT), or -1 when the warm start stayed the
+  /// incumbent or phase 1 ran no member. Later B&B/LNS improvements do
+  /// not change it.
+  int winning_member = -1;
+  /// Descents not run because the solve had already taken their key:
+  /// repeated portfolio members the sequential run would have reached,
+  /// plus skipped LNS neighbourhoods.
+  std::int64_t repeat_descents_skipped = 0;
   /// The portfolio incumbent (warm start or a member) reached
   /// SearchRoot::late_count(), the root lower bound on late jobs.
   bool portfolio_stopped_at_bound = false;

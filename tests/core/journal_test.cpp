@@ -249,6 +249,9 @@ TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
     InvocationRecord with_provenance = rec;
     with_provenance.portfolio_members_run = 1 + static_cast<int>(rng() % 9);
     with_provenance.portfolio_stopped_at_bound = true;
+    with_provenance.winning_member = static_cast<int>(rng() % 9);
+    with_provenance.repeat_descents_skipped =
+        1 + static_cast<std::int64_t>(rng() % 40);
     with_provenance.wall_seconds = 1e-3 * static_cast<double>(1 + rng() % 500);
     io::Encoder plain;
     encode_invocation_record(plain, rec);

@@ -97,6 +97,12 @@ TEST_P(SolverThreadDeterminism, SameResultForOneAndFourThreads) {
   expect_identical(r1.best, r4.best, "1 vs 4 threads");
   expect_identical(r1.best, ra.best, "1 vs auto threads");
   EXPECT_EQ(r1.stats.best_ordering, r4.stats.best_ordering);
+  // The descent memo is decided from keys alone, before any fan-out.
+  EXPECT_EQ(r1.stats.winning_member, r4.stats.winning_member);
+  EXPECT_EQ(r1.stats.repeat_descents_skipped,
+            r4.stats.repeat_descents_skipped);
+  EXPECT_EQ(r1.stats.repeat_descents_skipped,
+            ra.stats.repeat_descents_skipped);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverThreadDeterminism,

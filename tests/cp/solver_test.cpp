@@ -197,7 +197,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverRandomProperty,
 /// Random model whose jobs are sometimes statically late (a deadline
 /// shorter than any task, so the root bound is > 0), optionally with one
 /// pinned map.
-Model bound_model(std::uint64_t seed, bool with_pin) {
+Model bound_model(std::uint64_t seed, bool with_pin, int max_jobs = 7) {
   RandomStream rng(seed, 0xB0);
   Model m;
   const int num_resources = static_cast<int>(rng.uniform_int(1, 3));
@@ -205,7 +205,7 @@ Model bound_model(std::uint64_t seed, bool with_pin) {
     m.add_resource(static_cast<int>(rng.uniform_int(1, 3)),
                    static_cast<int>(rng.uniform_int(1, 3)));
   }
-  const int num_jobs = static_cast<int>(rng.uniform_int(2, 7));
+  const int num_jobs = static_cast<int>(rng.uniform_int(2, max_jobs));
   for (int j = 0; j < num_jobs; ++j) {
     const Time est{rng.uniform_int(0, 80)};
     Time work;
@@ -242,15 +242,37 @@ int statically_late_jobs(const Model& m) {
   return late;
 }
 
-struct ReferenceFold {
+/// A copy of the solver's LNS move (promote one job to rank 0, shifting
+/// the jobs ranked above it down by one), so the reference draws the very
+/// neighbourhoods solve() draws.
+std::vector<int> promote_job(const std::vector<int>& ranks, std::size_t job) {
+  std::vector<int> out = ranks;
+  const int old_rank = out[job];
+  for (auto& r : out) {
+    if (r < old_rank) ++r;
+  }
+  out[job] = 0;
+  return out;
+}
+
+using DescentKey = std::pair<std::vector<int>, std::vector<std::uint8_t>>;
+
+struct ReferenceSolve {
   Solution best;
   JobOrdering ordering = JobOrdering::kEdf;
+  int winning_member = -1;
   std::vector<Solution> members;  ///< every member's descent, in order
+  std::vector<DescentKey> keys;   ///< every member's (ranks, lpt) key
+  Solution lns_start;             ///< incumbent after B&B, before LNS
+  int lns_descents = 0;
 };
 
-ReferenceFold reference_fold(const Model& m, const SolveParams& params,
-                             const Solution* warm) {
-  ReferenceFold ref;
+/// solve() without its descent memo and without the root-bound stop:
+/// every portfolio member, the B&B run and every LNS neighbourhood run
+/// as independent searches, in the sequential order solve() defines.
+ReferenceSolve reference_solve(const Model& m, const SolveParams& params,
+                               const Solution* warm) {
+  ReferenceSolve ref;
   if (warm != nullptr && warm->valid) ref.best = *warm;
   const std::vector<std::vector<std::uint8_t>> intra = {
       adaptive_lpt_flags(m), std::vector<std::uint8_t>(m.num_jobs(), 0),
@@ -260,15 +282,81 @@ ReferenceFold reference_fold(const Model& m, const SolveParams& params,
   descent.stop_after_first_solution = true;
   descent.postpone_tries = 0;
   descent.time_limit_s = 60.0;
+  auto run_descent = [&](const DescentKey& key) {
+    SetTimesSearch search(m, key.first, key.second);
+    SearchStats st;
+    return search.run(descent, nullptr, &st);
+  };
   for (JobOrdering ordering : params.portfolio) {
     for (const std::vector<std::uint8_t>& lpt : intra) {
-      SetTimesSearch search(m, make_job_ranks(m, ordering), lpt);
-      SearchStats st;
-      ref.members.push_back(search.run(descent, nullptr, &st));
+      ref.keys.emplace_back(make_job_ranks(m, ordering), lpt);
+      ref.members.push_back(run_descent(ref.keys.back()));
       const Solution& sol = ref.members.back();
       if (sol.valid && (!ref.best.valid || sol.num_late < ref.best.num_late)) {
         ref.best = sol;
         ref.ordering = ordering;
+        ref.winning_member = static_cast<int>(ref.members.size()) - 1;
+      }
+    }
+  }
+
+  DescentKey best_key;
+  if (ref.winning_member >= 0) {
+    best_key = ref.keys[static_cast<std::size_t>(ref.winning_member)];
+  } else {
+    best_key = {make_job_ranks(m, params.portfolio.front()),
+                std::vector<std::uint8_t>(m.num_jobs(), 0)};
+  }
+  const bool improvable = ref.best.valid && ref.best.num_late > 0;
+  if (improvable && params.improvement_fails > 0) {
+    SetTimesSearch search(m, best_key.first, best_key.second);
+    SearchLimits limits;
+    limits.max_fails = params.improvement_fails;
+    limits.postpone_tries = params.postpone_tries;
+    limits.time_limit_s = 60.0;
+    SearchStats st;
+    const Solution sol = search.run(limits, &ref.best, &st);
+    if (sol.better_than(ref.best)) ref.best = sol;
+  }
+  ref.lns_start = ref.best;
+  if (improvable && params.lns_iterations > 0) {
+    RandomStream rng(params.seed, 0x1A5);
+    const int batch = std::max(1, params.lns_batch);
+    int iters_left = params.lns_iterations;
+    while (iters_left > 0 && ref.best.num_late > 0) {
+      std::vector<std::size_t> late_jobs;
+      for (std::size_t j = 0; j < ref.best.job_late.size(); ++j) {
+        if (ref.best.job_late[j]) late_jobs.push_back(j);
+      }
+      const int round = std::min(batch, iters_left);
+      iters_left -= round;
+      std::vector<DescentKey> nbhs;
+      for (int r = 0; r < round; ++r) {
+        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(late_jobs.size()) - 1));
+        DescentKey key{promote_job(best_key.first, late_jobs[pick]),
+                       best_key.second};
+        if (rng.bernoulli(0.5)) {
+          std::uint8_t& flag = key.second[late_jobs[pick]];
+          flag = flag != 0 ? 0 : 1;
+        }
+        if (m.num_jobs() >= 2 && rng.bernoulli(0.5)) {
+          const auto a = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(m.num_jobs()) - 1));
+          const auto b = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(m.num_jobs()) - 1));
+          std::swap(key.first[a], key.first[b]);
+        }
+        nbhs.push_back(std::move(key));
+      }
+      std::vector<Solution> sols;
+      for (const DescentKey& key : nbhs) sols.push_back(run_descent(key));
+      ref.lns_descents += round;
+      for (std::size_t r = 0; r < nbhs.size(); ++r) {
+        if (sols[r].better_than(ref.best)) {
+          ref.best = sols[r];
+          best_key = nbhs[r];
+        }
       }
     }
   }
@@ -291,17 +379,30 @@ void expect_same_solution(const Solution& want, const Solution& got,
   }
 }
 
-/// Members a sequential solve runs: none when the warm start is at the
-/// bound, else up to and including the first member at the bound.
-int expected_members_run(const ReferenceFold& ref, const Solution* warm,
-                         int bound) {
-  if (warm != nullptr && warm->valid && warm->num_late <= bound) return 0;
+/// One past the first member at the bound, or the member count.
+int first_at_bound_end(const ReferenceSolve& ref, int bound) {
   for (std::size_t i = 0; i < ref.members.size(); ++i) {
     if (ref.members[i].valid && ref.members[i].num_late <= bound) {
       return static_cast<int>(i) + 1;
     }
   }
   return static_cast<int>(ref.members.size());
+}
+
+/// Members a sequential solve runs: none when the warm start is at the
+/// bound, else those up to and including the first member at the bound
+/// whose key no earlier member has (a repeated key is never run twice).
+int expected_members_run(const ReferenceSolve& ref, const Solution* warm,
+                         int bound) {
+  if (warm != nullptr && warm->valid && warm->num_late <= bound) return 0;
+  const auto end = static_cast<std::size_t>(first_at_bound_end(ref, bound));
+  int run = 0;
+  for (std::size_t i = 0; i < end; ++i) {
+    const auto first = ref.keys.begin();
+    const auto here = first + static_cast<std::ptrdiff_t>(i);
+    if (std::find(first, here, *here) == here) ++run;
+  }
+  return run;
 }
 
 TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
@@ -327,18 +428,21 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
     pinned += with_pin ? 1 : 0;
     const std::string what = "seed " + std::to_string(seed);
 
-    const ReferenceFold ref = reference_fold(m, params, nullptr);
+    const ReferenceSolve ref = reference_solve(m, params, nullptr);
     const SolveResult got = solve(m, params);
     expect_same_solution(ref.best, got.best, what);
     EXPECT_EQ(ref.ordering, got.stats.best_ordering) << what;
-    const int want_run = expected_members_run(ref, nullptr, bound);
-    EXPECT_EQ(got.stats.portfolio_members_run, want_run) << what;
+    EXPECT_EQ(ref.winning_member, got.stats.winning_member) << what;
+    EXPECT_EQ(got.stats.portfolio_members_run,
+              expected_members_run(ref, nullptr, bound))
+        << what;
     EXPECT_EQ(got.stats.portfolio_stopped_at_bound,
               ref.best.num_late <= bound)
         << what;
-    if (want_run < num_members) {
+    const int stop_end = first_at_bound_end(ref, bound);
+    if (stop_end < num_members) {
       ++stopped_early;
-      later_member_first += want_run > 1 ? 1 : 0;
+      later_member_first += stop_end > 1 ? 1 : 0;
       EXPECT_LT(got.stats.portfolio_members_run, num_members) << what;
     } else {
       ++full_portfolio;
@@ -360,12 +464,14 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
       } else {
         ++warm_above_bound;
       }
-      const ReferenceFold warm_ref = reference_fold(m, params, &warm);
+      const ReferenceSolve warm_ref = reference_solve(m, params, &warm);
       const SolveResult warm_got = solve(m, params, &warm);
       const std::string warm_what =
           what + " warm late " + std::to_string(warm.num_late);
       expect_same_solution(warm_ref.best, warm_got.best, warm_what);
       EXPECT_EQ(warm_ref.ordering, warm_got.stats.best_ordering) << warm_what;
+      EXPECT_EQ(warm_ref.winning_member, warm_got.stats.winning_member)
+          << warm_what;
       EXPECT_EQ(warm_got.stats.portfolio_members_run,
                 expected_members_run(warm_ref, &warm, bound))
           << warm_what;
@@ -379,6 +485,116 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
   EXPECT_GE(full_portfolio, 30);
   EXPECT_GE(warm_at_bound, 100);
   EXPECT_GE(warm_above_bound, 100);
+}
+
+TEST(SolverMemo, SolveEqualsUnmemoizedReference) {
+  // solve() skips descents whose (ranks, lpt) key it already took; the
+  // reference runs every one. Plans, winner and ordering must not move,
+  // for small models (2-3 jobs, where LNS keeps redrawing the same key)
+  // and larger ones, sequential and batched LNS, with and without a
+  // warm start, on the sequential and the pool path.
+  int small_models = 0;
+  int lns_improved = 0;
+  int lns_repeats = 0;
+  int unseeded_member = 0;  // a member better_than the LNS-start incumbent
+  int warm_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 900; ++seed) {
+    const bool small = seed % 2 == 1;
+    const Model m = bound_model(seed, seed % 4 == 0, small ? 3 : 7);
+    ASSERT_EQ(m.validate(), "") << "seed " << seed;
+    small_models += small ? 1 : 0;
+    SolveParams params;
+    params.time_limit_s = 60.0;  // must not bind
+    params.seed = seed;
+    params.lns_batch = seed % 3 == 0 ? 4 : 1;
+    params.num_threads = seed % 5 == 0 ? 3 : 1;
+
+    const ReferenceSolve ref = reference_solve(m, params, nullptr);
+    std::vector<const Solution*> warms = {nullptr};
+    const Solution& worst = *std::max_element(
+        ref.members.begin(), ref.members.end(),
+        [](const Solution& a, const Solution& b) {
+          return a.num_late < b.num_late;
+        });
+    if (worst.valid) warms.push_back(&worst);
+    for (const Solution* warm : warms) {
+      const std::string what = "seed " + std::to_string(seed) +
+                               (warm != nullptr ? " warm" : " cold");
+      const ReferenceSolve want =
+          warm != nullptr ? reference_solve(m, params, warm) : ref;
+      const SolveResult got = solve(m, params, warm);
+      expect_same_solution(want.best, got.best, what);
+      EXPECT_EQ(want.ordering, got.stats.best_ordering) << what;
+      EXPECT_EQ(want.winning_member, got.stats.winning_member) << what;
+      warm_runs += warm != nullptr ? 1 : 0;
+      lns_improved += got.stats.lns_improvements > 0 ? 1 : 0;
+      lns_repeats += got.stats.repeat_descents_skipped > 0 ? 1 : 0;
+      for (const Solution& member : want.members) {
+        if (member.better_than(want.lns_start) && want.lns_descents > 0) {
+          ++unseeded_member;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GE(small_models, 450);
+  EXPECT_GE(warm_runs, 800);
+  EXPECT_GE(lns_improved, 60);
+  EXPECT_GE(lns_repeats, 300);
+  EXPECT_GE(unseeded_member, 15);
+}
+
+TEST(SolverMemo, TwoJobLnsRunsOnlyDistinctKeys) {
+  // Two jobs give 2 rankings x 4 flag pairs = 8 keys. Job 1's deadline
+  // is statically unreachable, so a job stays late and LNS draws all 20
+  // neighbourhoods; yet it runs at most 8 of them.
+  constexpr int kKeys = 8;
+  constexpr int kDraws = 20;
+  int checked = 0;
+  int past_member_0 = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RandomStream rng(seed, 0xD2);
+    Model m;
+    m.add_resource(static_cast<int>(rng.uniform_int(1, 2)),
+                   static_cast<int>(rng.uniform_int(1, 2)));
+    for (int j = 0; j < 2; ++j) {
+      const Time est{rng.uniform_int(0, 20)};
+      const Time deadline =
+          j == 1 ? est + Time{1} : est + Time{rng.uniform_int(40, 200)};
+      const CpJobIndex cj = m.add_job(est, deadline, j);
+      for (int t = static_cast<int>(rng.uniform_int(2, 4)); t > 0; --t) {
+        m.add_task(cj, Phase::kMap, Time{rng.uniform_int(5, 60)});
+      }
+      m.add_task(cj, Phase::kReduce, Time{rng.uniform_int(5, 60)});
+    }
+    ASSERT_EQ(m.validate(), "") << "seed " << seed;
+    SolveParams params;
+    params.improvement_fails = 0;
+    params.lns_iterations = kDraws;
+    params.time_limit_s = 60.0;
+    params.seed = seed;
+    const SolveResult got = solve(m, params);
+    const std::string what = "seed " + std::to_string(seed);
+    ASSERT_TRUE(got.best.valid) << what;
+    ASSERT_GT(got.best.num_late, 0) << what;
+
+    // Portfolio repeats the sequential run would have reached; the rest
+    // of the skipped descents are LNS draws.
+    const ReferenceSolve ref = reference_solve(m, params, nullptr);
+    const int bound = statically_late_jobs(m);
+    const int reached = first_at_bound_end(ref, bound);
+    past_member_0 += reached > 1 ? 1 : 0;
+    const int portfolio_repeats =
+        reached - expected_members_run(ref, nullptr, bound);
+    EXPECT_EQ(ref.lns_descents, kDraws) << what;
+    const std::int64_t lns_run =
+        kDraws - (got.stats.repeat_descents_skipped - portfolio_repeats);
+    EXPECT_GE(lns_run, 0) << what;
+    EXPECT_LE(lns_run, kKeys) << what;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 40);
+  EXPECT_GE(past_member_0, 5);
 }
 
 }  // namespace

@@ -236,6 +236,12 @@ int run_simulate(const Flags& flags) {
         });
     std::printf("  budget-bound solves = %lld\n",
                 static_cast<long long>(budget_bound));
+    std::int64_t repeats = 0;
+    for (const InvocationRecord& rec : metrics.invocations) {
+      repeats += rec.repeat_descents_skipped;
+    }
+    std::printf("  repeat descents skipped = %lld\n",
+                static_cast<long long>(repeats));
     std::printf("degradation:\n");
     std::printf("  primary = %llu, retry = %llu, fallback = %llu\n",
                 static_cast<unsigned long long>(d.primary),
