@@ -4,22 +4,21 @@
 //
 // In addition to the google-benchmark suite, the binary always writes
 // BENCH_cp_micro.json (self-timed: profile query ns/op, solve wall-time
-// swept over {1, 2, 4, hw} worker threads on a small and an enlarged
-// workload, per-phase breakdown, and the parallel speedup on the
-// enlarged workload) so the perf trajectory of the hot path is tracked
-// in a machine-readable form. See docs/perf.md for how to read it.
+// on a small and an enlarged workload, and the per-phase breakdown) so
+// the perf trajectory of the hot path is tracked in a machine-readable
+// form. See docs/perf.md for how to read it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "cp/profile.h"
 #include "cp/solver.h"
 
@@ -125,40 +124,21 @@ void BM_SolveWithImprovement(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveWithImprovement)->Arg(2)->Arg(10);
 
-/// Parallel portfolio/LNS: same solve, swept over worker threads.
-void BM_SolveThreads(benchmark::State& state) {
-  const Model m = make_model(25, 3);
+/// Portfolio plus LNS on the 25-job model and on an enlarged 60-job one
+/// where per-member search work dominates setup.
+void BM_SolveLns(benchmark::State& state) {
+  const Model m = make_model(static_cast<int>(state.range(0)), 3);
   SolveParams params;
   params.improvement_fails = 0;
   params.lns_iterations = 20;
-  params.lns_batch = 4;
   params.time_limit_s = 60.0;
-  params.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     SolveResult result = solve(m, params);
     benchmark::DoNotOptimize(result.best.num_late);
   }
   state.counters["tasks"] = static_cast<double>(m.num_tasks());
 }
-BENCHMARK(BM_SolveThreads)->Arg(1)->Arg(2)->Arg(4);
-
-/// Thread scaling on an instance large enough that per-member search work
-/// dominates setup — the regime where the parallel portfolio must pay.
-void BM_SolveThreadsLarge(benchmark::State& state) {
-  const Model m = make_model(60, 3);
-  SolveParams params;
-  params.improvement_fails = 0;
-  params.lns_iterations = 20;
-  params.lns_batch = 4;
-  params.time_limit_s = 60.0;
-  params.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    SolveResult result = solve(m, params);
-    benchmark::DoNotOptimize(result.best.num_late);
-  }
-  state.counters["tasks"] = static_cast<double>(m.num_tasks());
-}
-BENCHMARK(BM_SolveThreadsLarge)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolveLns)->Arg(25)->Arg(60)->Unit(benchmark::kMillisecond);
 
 /// The pre-flat-timeline profile (sorted map of usage deltas), kept
 /// here as the bench baseline the JSON compares against.
@@ -271,61 +251,25 @@ void write_bench_json(const char* path) {
   });
 
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource
-  // model. Two instances: the historical 25-job workload (absolute
-  // solve_wall_s_1_thread is tracked against it) and an enlarged 60-job
-  // one where per-member search work dominates setup — the regime the
-  // parallel portfolio targets and the one solve_speedup is defined on.
-  // Both are swept over {1, 2, 4, hw} worker threads; the solution
-  // quality must be identical at every thread count (deterministic fold).
+  // model. Two instances: the historical 25-job workload and an enlarged
+  // 60-job one where per-member search work dominates setup.
   SolveParams params;
   params.improvement_fails = 0;
   params.lns_iterations = 20;
-  params.lns_batch = 4;
   params.time_limit_s = 60.0;
-  // At least 2 workers so the pool path is always measured, even on a
-  // single-core machine (where it records the overhead, not a speedup).
-  const int hw = std::max(2, ThreadPool::resolve_num_threads(0));
-  std::vector<int> sweep = {1, 2, 4, hw};
-  std::sort(sweep.begin(), sweep.end());
-  sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
-
   struct SolveSample {
-    int threads = 0;
     double wall_s = 0.0;
     SolveResult result;
   };
-  auto sweep_solves = [&](const Model& m) {
-    std::vector<SolveSample> out;
-    for (int t : sweep) {
-      SolveSample s;
-      s.threads = t;
-      params.num_threads = t;
-      s.wall_s = best_of_seconds(3, [&] { s.result = solve(m, params); });
-      out.push_back(std::move(s));
-    }
-    return out;
+  auto time_solve = [&](const Model& m) {
+    SolveSample s;
+    s.wall_s = best_of_seconds(3, [&] { s.result = solve(m, params); });
+    return s;
   };
   const Model m = make_model(25, 3);
   const Model m_large = make_model(60, 3);
-  const std::vector<SolveSample> small = sweep_solves(m);
-  const std::vector<SolveSample> large = sweep_solves(m_large);
-  const SolveSample& small_1t = small.front();
-  const SolveSample& large_1t = large.front();
-  const SolveSample& large_hw = large.back();
-  for (const SolveSample& s : small) {
-    if (s.result.best.num_late != small_1t.result.best.num_late) {
-      std::fprintf(stderr,
-                   "error: small-solve quality differs at %d threads\n",
-                   s.threads);
-    }
-  }
-  for (const SolveSample& s : large) {
-    if (s.result.best.num_late != large_1t.result.best.num_late) {
-      std::fprintf(stderr,
-                   "error: large-solve quality differs at %d threads\n",
-                   s.threads);
-    }
-  }
+  const SolveSample small = time_solve(m);
+  const SolveSample large = time_solve(m_large);
 
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -333,8 +277,8 @@ void write_bench_json(const char* path) {
     return;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"hardware_threads\": %d,\n",
-               ThreadPool::resolve_num_threads(0));
+  std::fprintf(f, "  \"hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"profile_events\": %zu,\n", p.num_events());
   std::fprintf(f, "  \"profile_earliest_feasible_ns_per_op\": %.1f,\n",
                query_s * 1e9 / kQueries);
@@ -347,38 +291,29 @@ void write_bench_json(const char* path) {
                add_remove_s * 1e9 / (2.0 * kIntervals));
   std::fprintf(f, "  \"solve_workload\": \"table3-combined-25jobs\",\n");
   std::fprintf(f, "  \"solve_tasks\": %zu,\n", m.num_tasks());
-  std::fprintf(f, "  \"solve_num_late\": %d,\n", small_1t.result.best.num_late);
+  std::fprintf(f, "  \"solve_num_late\": %d,\n", small.result.best.num_late);
   std::fprintf(f, "  \"solve_status\": \"%s\",\n",
-               solve_status_name(small_1t.result.status));
+               solve_status_name(small.result.status));
   std::fprintf(f, "  \"solve_budget_used_s\": %.6f,\n",
-               small_1t.result.wall_seconds);
-  for (const SolveSample& s : small) {
-    std::fprintf(f, "  \"solve_wall_s_%d_thread%s\": %.6f,\n", s.threads,
-                 s.threads == 1 ? "" : "s", s.wall_s);
-  }
+               small.result.wall_seconds);
+  std::fprintf(f, "  \"solve_wall_s\": %.6f,\n", small.wall_s);
   std::fprintf(f, "  \"solve_phase_portfolio_s\": %.6f,\n",
-               small_1t.result.stats.portfolio_seconds);
+               small.result.stats.portfolio_seconds);
   std::fprintf(f, "  \"solve_phase_improvement_s\": %.6f,\n",
-               small_1t.result.stats.improvement_seconds);
+               small.result.stats.improvement_seconds);
   std::fprintf(f, "  \"solve_phase_lns_s\": %.6f,\n",
-               small_1t.result.stats.lns_seconds);
+               small.result.stats.lns_seconds);
   std::fprintf(f, "  \"solve_large_workload\": \"table3-combined-60jobs\",\n");
   std::fprintf(f, "  \"solve_large_tasks\": %zu,\n", m_large.num_tasks());
   std::fprintf(f, "  \"solve_large_num_late\": %d,\n",
-               large_1t.result.best.num_late);
-  for (const SolveSample& s : large) {
-    std::fprintf(f, "  \"solve_large_wall_s_%d_thread%s\": %.6f,\n", s.threads,
-                 s.threads == 1 ? "" : "s", s.wall_s);
-  }
+               large.result.best.num_late);
+  std::fprintf(f, "  \"solve_large_wall_s\": %.6f,\n", large.wall_s);
   std::fprintf(f, "  \"solve_large_phase_portfolio_s\": %.6f,\n",
-               large_1t.result.stats.portfolio_seconds);
+               large.result.stats.portfolio_seconds);
   std::fprintf(f, "  \"solve_large_phase_improvement_s\": %.6f,\n",
-               large_1t.result.stats.improvement_seconds);
+               large.result.stats.improvement_seconds);
   std::fprintf(f, "  \"solve_large_phase_lns_s\": %.6f,\n",
-               large_1t.result.stats.lns_seconds);
-  std::fprintf(f, "  \"solve_threads\": %d,\n", large_hw.threads);
-  std::fprintf(f, "  \"solve_speedup\": %.3f,\n",
-               large_hw.wall_s > 0 ? large_1t.wall_s / large_hw.wall_s : 0.0);
+               large.result.stats.lns_seconds);
   std::fprintf(f, "  \"checksum\": %lld\n", static_cast<long long>(sink.count()));
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -61,7 +61,6 @@ cp::SolveParams bench_solve_params() {
   p.improvement_fails = 0;
   p.lns_iterations = 0;
   p.time_limit_s = 600.0;
-  p.num_threads = 1;
   return p;
 }
 

@@ -13,8 +13,6 @@ void add_common_flags(Flags& flags) {
       .add_double("warmup", 0.1, "warmup fraction excluded from metrics")
       .add_double("solver-budget-s", 0.1, "CP solve budget per invocation (s)")
       .add_int("threads", 1, "replications run in parallel on this many threads")
-      .add_int("solver-threads", 1,
-               "CP solver worker threads per invocation (0 = all hardware)")
       .add_string("csv", "", "also write results as CSV to this path");
 }
 
@@ -26,7 +24,6 @@ SweepOptions SweepOptions::from_flags(const Flags& flags) {
   o.warmup = flags.get_double("warmup");
   o.solver_budget_s = flags.get_double("solver-budget-s");
   o.threads = static_cast<unsigned>(flags.get_int("threads"));
-  o.solver_threads = static_cast<int>(flags.get_int("solver-threads"));
   o.csv_path = flags.get_string("csv");
   return o;
 }
@@ -52,7 +49,6 @@ SyntheticWorkloadConfig table3_defaults(const SweepOptions& options) {
 MrcpConfig default_mrcp_config(const SweepOptions& options) {
   MrcpConfig c;
   c.solve.time_limit_s = options.solver_budget_s;
-  c.solve.num_threads = options.solver_threads;
   return c;
 }
 

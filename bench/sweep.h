@@ -35,8 +35,6 @@ struct SweepOptions {
   double warmup = 0.1;
   double solver_budget_s = 0.1;
   unsigned threads = 1;
-  /// CP solver worker threads per invocation (cp::SolveParams::num_threads).
-  int solver_threads = 1;
   std::string csv_path;
 
   static SweepOptions from_flags(const Flags& flags);

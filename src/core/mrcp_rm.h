@@ -75,10 +75,8 @@ struct MrcpConfig {
   /// A deferred job enters scheduling at s_j - deferral_window.
   Time deferral_window;
 
-  /// CP solver budgets (per invocation). `solve.num_threads` selects the
-  /// solver's parallel portfolio/LNS worker count; results for a fixed
-  /// seed are thread-count independent, so turning this up is purely a
-  /// latency (O metric) optimization.
+  /// CP solver budgets (per invocation). The solve runs in the calling
+  /// thread.
   cp::SolveParams solve;
 
   /// Re-validate every published plan (slow; for tests/debugging).

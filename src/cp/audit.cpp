@@ -1,6 +1,7 @@
 #include "cp/audit.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -170,50 +171,6 @@ std::string check_earliest_feasible_answer(const Profile& profile, Time est,
     }
   }
   return "";
-}
-
-// ---------------------------------------------------------------------------
-// SharedBoundAuditor
-// ---------------------------------------------------------------------------
-
-void SharedBoundAuditor::on_publish(int published_late,
-                                    const std::atomic<int>& bound) {
-  MutexLock lock(mu_);
-  low_water_ = std::min(low_water_, published_late);
-  // Every publish recorded so far completed its fetch-min before we
-  // acquired the lock, so a correct running-minimum bound must now read
-  // at or below the lowest recorded value.
-  const int observed = bound.load(std::memory_order_seq_cst);
-  if (observed > low_water_ && error_.empty()) {
-    std::ostringstream os;
-    os << "shared incumbent bound audit: bound rose to " << observed
-       << " after a publish of " << low_water_
-       << " (lost fetch-min update?)";
-    error_ = os.str();
-  }
-}
-
-void SharedBoundAuditor::on_reset(int new_value,
-                                  const std::atomic<int>& bound) {
-  MutexLock lock(mu_);
-  const int observed = bound.load(std::memory_order_seq_cst);
-  if (new_value > observed && error_.empty()) {
-    std::ostringstream os;
-    os << "shared incumbent bound audit: reset would raise the bound from "
-       << observed << " to " << new_value;
-    error_ = os.str();
-  }
-  low_water_ = std::min(low_water_, new_value);
-}
-
-int SharedBoundAuditor::low_water_mark() const {
-  MutexLock lock(mu_);
-  return low_water_;
-}
-
-std::string SharedBoundAuditor::error() const {
-  MutexLock lock(mu_);
-  return error_;
 }
 
 // ---------------------------------------------------------------------------

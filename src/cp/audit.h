@@ -7,9 +7,8 @@
 //  1. Always-compiled audit *functions* (namespace mrcp::cp::audit): an
 //     O(n^2) ReferenceProfile oracle for the timetable `cumulative`
 //     propagation, checks that `Profile::earliest_feasible` answers are
-//     monotone / idempotent / minimal, a monotonicity auditor for the
-//     parallel portfolio's shared incumbent bound, and a brute-force
-//     feasibility oracle for final Solutions. These are plain functions
+//     monotone / idempotent / minimal, and a brute-force feasibility
+//     oracle for final Solutions. These are plain functions
 //     returning an error string (empty = ok), so gtest suites exercise
 //     them in every build configuration.
 //
@@ -19,20 +18,16 @@
 //     engine is bit-identical to a build without this header. When ON,
 //     SetTimesSearch cross-checks every propagation answer against the
 //     reference oracle (on models under a size threshold), solve()
-//     audits the shared bound and the final solution, and any violation
+//     audits the portfolio fold and the final solution, and any violation
 //     aborts with a diagnostic via MRCP_CHECK machinery.
 //
 // See docs/correctness.md for the full audit catalogue.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "cp/model.h"
 #include "cp/profile.h"
 #include "cp/solution.h"
@@ -96,44 +91,6 @@ std::string check_profile_against_reference(const Profile& fast,
 ///                  start fits, the change point at or before it does too).
 std::string check_earliest_feasible_answer(const Profile& profile, Time est,
                                            Time duration, int demand, Time got);
-
-/// Monitors the parallel portfolio's shared incumbent bound — the atomic
-/// late-count that workers maintain with a CAS fetch-min. The invariant:
-/// the atomic's value never rises above any published late-count, i.e.
-/// the bound behaves as a running minimum (an increase would mean a lost
-/// update or a plain store racing the fetch-min). Workers call
-/// on_publish(v, bound) right after publishing a solution with v late
-/// jobs; the auditor serializes recordings under a mutex and re-reads the
-/// atomic inside the lock, so the check is race-free: by then every
-/// recorded publish happens-before the load, and a correct fetch-min
-/// bound must read <= the minimum recorded value. Thread-safe; failures
-/// are latched and returned by error().
-class SharedBoundAuditor {
- public:
-  SharedBoundAuditor() = default;
-
-  /// Record a worker's publish of a solution with `published_late` late
-  /// jobs into `bound`.
-  void on_publish(int published_late, const std::atomic<int>& bound)
-      MRCP_EXCLUDES(mu_);
-
-  /// Record the solver's between-round reset of the bound to
-  /// `new_value`; must not raise the bound (checked against its current
-  /// value before the caller stores).
-  void on_reset(int new_value, const std::atomic<int>& bound)
-      MRCP_EXCLUDES(mu_);
-
-  /// Minimum late-count recorded so far.
-  int low_water_mark() const MRCP_EXCLUDES(mu_);
-
-  /// Empty when every observation kept the bound monotone non-increasing.
-  std::string error() const MRCP_EXCLUDES(mu_);
-
- private:
-  mutable Mutex mu_;
-  int low_water_ MRCP_GUARDED_BY(mu_) = std::numeric_limits<int>::max();
-  std::string error_ MRCP_GUARDED_BY(mu_);
-};
 
 /// Brute-force feasibility oracle for a complete Solution: re-derives
 /// every constraint of Table 1 from scratch by pairwise interval

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -717,25 +716,6 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
             timer.elapsed_seconds() > limits.time_limit_s);
   };
 
-  std::atomic<int>* shared = limits.shared_late_bound;
-  // The shared bound is read through a periodically refreshed cache so
-  // the per-decision prune test stays off the shared cache line. The
-  // cache is always >= the true bound (the bound is a running minimum),
-  // so a stale value only prunes less — the determinism argument in
-  // SearchLimits::shared_late_bound covers every refresh schedule.
-  int shared_cache = shared ? shared->load(std::memory_order_relaxed)
-                            : std::numeric_limits<int>::max();
-  auto publish_shared = [&](int num_late) {
-    if (!shared || num_late >= shared_cache) return;
-    shared_cache = num_late;
-    int cur = shared->load(std::memory_order_relaxed);
-    while (num_late < cur &&
-           !shared->compare_exchange_weak(cur, num_late,
-                                          std::memory_order_relaxed)) {
-    }
-    if (limits.bound_auditor) limits.bound_auditor->on_publish(num_late, *shared);
-  };
-
   while (!done) {
     // Hard watchdog: unlike the soft budget this aborts even before a
     // first solution exists (the RM's degraded-mode ladder recovers via
@@ -746,10 +726,6 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
       st.aborted = true;
       break;
     }
-    if (shared != nullptr && (st.decisions & 0x3F) == 0) {
-      shared_cache = std::min(shared_cache,
-                              shared->load(std::memory_order_relaxed));
-    }
 
     if (depth == order_.size()) {
       // All tasks fixed: a complete solution.
@@ -757,7 +733,6 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
       sol.placements = placements_;
       evaluate_solution(model_, sol);
       ++st.solutions;
-      publish_shared(sol.num_late);
       if (sol.better_than(best)) best = sol;
       if (limits.stop_after_first_solution) break;
       // No schedule can beat zero late jobs on the primary objective, and
@@ -799,21 +774,22 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
 
     // Branch-and-bound pruning: `late_count_` only grows as more tasks
     // are fixed, so reaching the incumbent's objective kills the branch.
-    // The shared bound cuts strictly-worse branches only (late_count_
-    // must *exceed* it) — see SearchLimits::shared_late_bound.
+    // The outside cutoff cuts strictly-worse branches only (late_count_
+    // must *exceed* it) — see SearchLimits::late_cutoff.
     const bool pruned_local = best.valid && late_count_ >= best.num_late;
-    const bool pruned_shared = !pruned_local && late_count_ > shared_cache;
-    if (pruned_local || pruned_shared) {
+    const bool pruned_cutoff =
+        !pruned_local && late_count_ > limits.late_cutoff;
+    if (pruned_local || pruned_cutoff) {
       ++st.fails;
       undo(order_[depth], level);
       // Keep this level's remaining choices: a rebuild would reset
       // next_choice and re-apply the pruned branch forever.
       level_fresh = false;
-      if (pruned_shared && limits.stop_after_first_solution) {
+      if (pruned_cutoff && limits.stop_after_first_solution) {
         // The descent's eventual solution could only be strictly worse
-        // than the sibling that published the bound; rerouting here
-        // would make the first solution depend on sibling timing, so
-        // abort the whole search instead.
+        // than the solution behind the cutoff, so abort the whole search
+        // instead of rerouting to a first solution the cutoff would have
+        // changed.
         break;
       }
       if (over_budget()) break;

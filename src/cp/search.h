@@ -28,13 +28,13 @@
 // decision-order rebuild — a concatenation of per-job segments — and
 // run() ends by copying the root state back instead of undoing its
 // decisions one by one. The portfolio and LNS phases of solve() rely on
-// this to run one cached search per worker thread instead of
+// this to run one search for every member and neighbourhood instead of
 // reconstructing per member (docs/perf.md).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -51,25 +51,14 @@ struct SearchLimits {
   double time_limit_s = 1.0;          ///< wall-clock cap for this search
   int postpone_tries = 2;             ///< extra delayed-start branches per level
   bool stop_after_first_solution = false;
-  /// Shared incumbent late-count for parallel portfolio/LNS workers
-  /// (nullptr = none). Every solution found is published with a
-  /// fetch-min; a branch whose certain-late count strictly exceeds the
-  /// bound is pruned. The strict inequality is what keeps the solver's
-  /// deterministic winner fold exact: a search that ties the bound is
-  /// never cut, so it returns the same solution it would sequentially,
-  /// and a cut search could only have returned a solution that loses
-  /// every tie-break. A first-solution search aborts (returns no
-  /// solution) instead of rerouting past the cut, so its result never
-  /// depends on sibling timing. The search reads the atomic through a
-  /// periodically refreshed local cache (a stale bound only prunes
-  /// less, which the argument above already covers), so the hot loop
-  /// does not hammer the shared cache line. See docs/cp_engine.md.
-  std::atomic<int>* shared_late_bound = nullptr;
-  /// Optional monitor for shared_late_bound publishes (available in every
-  /// build; installed automatically by solve() in MRCP_AUDIT builds).
-  /// Publishes are rare — one per solution found — so the null check is
-  /// free next to the search itself.
-  audit::SharedBoundAuditor* bound_auditor = nullptr;
+  /// Late-count cutoff from outside this search (the best count solve()
+  /// already holds; max() = none). A branch whose certain-late count
+  /// strictly exceeds it is pruned, so a search that ties the cutoff runs
+  /// as it would without one, and a cut branch could only have led to a
+  /// solution that loses every tie-break. A first-solution search aborts
+  /// (returns no solution) instead of rerouting past the cut. See
+  /// docs/cp_engine.md.
+  int late_cutoff = std::numeric_limits<int>::max();
   /// Optional hard watchdog. The soft budget above never interrupts a
   /// search that has no solution yet (anytime guarantee: the first
   /// descent always completes), but an expired hard deadline aborts the

@@ -25,12 +25,12 @@
 // Portfolio keys seed the LNS memo only when their solution is not
 // better_than the LNS-start incumbent — see docs/cp_engine.md.
 //
-// With num_threads > 1 the portfolio members and each LNS round's
-// neighbourhoods run concurrently on a ThreadPool, sharing an atomic
-// incumbent late-count that prunes strictly-worse branches. Winner
-// selection happens deterministically after the barrier, so for a fixed
-// seed the result is independent of thread count and timing (as long as
-// the wall-clock budget does not bind) — see docs/cp_engine.md.
+// The solve is sequential: each descent runs in the calling thread with
+// a cutoff equal to the best late count known before it (the warm start
+// and earlier members, or the incumbent for an LNS neighbourhood), and
+// aborts once it is certain to be strictly worse. For a fixed seed the
+// result is a function of the model and the parameters, as long as the
+// wall-clock budget does not bind — see docs/cp_engine.md.
 #pragma once
 
 #include <cstdint>
@@ -52,20 +52,12 @@ struct SolveParams {
   int postpone_tries = 2;
   /// LNS restarts after the improvement run (0 disables LNS).
   int lns_iterations = 20;
-  /// LNS neighbourhoods generated and evaluated per round. All of a
-  /// round's neighbourhoods are derived from the incumbent at the start
-  /// of the round (RNG draws in a fixed order) and their acceptance is
-  /// folded in generation order, so results depend on this value but —
-  /// for a fixed value — not on num_threads. 1 reproduces the purely
-  /// sequential accept-then-regenerate behaviour.
-  int lns_batch = 1;
   /// Overall wall-clock budget for the solve.
   double time_limit_s = 0.5;
   std::uint64_t seed = 1;
-  /// Worker threads for the portfolio and LNS phases: 1 = run in the
-  /// calling thread (default), 0 = one worker per hardware thread, n >
-  /// 1 = exactly n workers. For a fixed seed the returned solution is
-  /// identical for every value whenever time_limit_s does not bind.
+  /// Must be 1: solve() runs in the calling thread. The field remains
+  /// only because the benchmark harness (perfbench/harness/main.cpp)
+  /// sets and reports it; it goes with the next benchmark change.
   int num_threads = 1;
   /// Optional hard watchdog shared by every phase (portfolio descents,
   /// B&B improvement, LNS): once expired, running searches abort at the
@@ -101,10 +93,7 @@ struct SolveStats {
   JobOrdering best_ordering = JobOrdering::kEdf;
   /// Portfolio members that ran a descent. Fewer than the portfolio size
   /// when the root bound or the budget stopped phase 1 early, or when
-  /// members repeat an earlier member's key (only distinct keys run); on
-  /// the pool path members already running when the bound is reached
-  /// finish anyway, so this count (unlike the solution) may vary with
-  /// timing.
+  /// members repeat an earlier member's key (only distinct keys run).
   int portfolio_members_run = 0;
   /// Index of the member the portfolio fold chose (ordering-major, then
   /// adaptive / FIFO / LPT), or -1 when the warm start stayed the
@@ -112,7 +101,7 @@ struct SolveStats {
   /// not change it.
   int winning_member = -1;
   /// Descents not run because the solve had already taken their key:
-  /// repeated portfolio members the sequential run would have reached,
+  /// repeated portfolio members reached before the portfolio stopped,
   /// plus skipped LNS neighbourhoods.
   std::int64_t repeat_descents_skipped = 0;
   /// The portfolio incumbent (warm start or a member) reached

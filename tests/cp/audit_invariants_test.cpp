@@ -1,20 +1,16 @@
 // Standalone suites for the audit layer itself, runnable in EVERY build
 // configuration (no MRCP_AUDIT needed): the audit functions are plain
-// library code, and SearchLimits::bound_auditor is always present.
+// library code.
 //
-// Four groups:
+// Three groups:
 //  * ReferenceProfile vs Profile equivalence under random add/remove
 //    interleavings — the differential check the in-engine hooks rely on;
 //  * earliest_feasible answer audits: monotone, feasible, idempotent,
 //    minimal — including a deliberately wrong answer being rejected;
-//  * SharedBoundAuditor positive and negative cases, plus end-to-end
-//    incumbent-bound monotonicity of a real multi-threaded solve;
 //  * brute_force_check_solution / exhaustive_min_late on hand-built
 //    models with known optima.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,7 +18,6 @@
 #include "cp/audit.h"
 #include "cp/model.h"
 #include "cp/profile.h"
-#include "cp/search.h"
 #include "cp/solver.h"
 
 namespace mrcp::cp {
@@ -111,114 +106,6 @@ TEST(EarliestFeasibleAuditTest, RejectsNonMinimalAnswer) {
   const std::string err =
       audit::check_earliest_feasible_answer(profile, Time{0}, Time{5}, 1, Time{20});
   EXPECT_NE(err, "");
-}
-
-// --- SharedBoundAuditor ----------------------------------------------------
-
-/// Fetch-min publish, as the search performs it.
-void publish_min(std::atomic<int>& bound, int value) {
-  int cur = bound.load(std::memory_order_relaxed);
-  while (value < cur &&
-         !bound.compare_exchange_weak(cur, value, std::memory_order_acq_rel)) {
-  }
-}
-
-TEST(SharedBoundAuditorTest, AcceptsMonotonePublishes) {
-  std::atomic<int> bound{100};
-  audit::SharedBoundAuditor auditor;
-  for (int v : {7, 9, 5, 5, 12, 3}) {
-    publish_min(bound, v);
-    auditor.on_publish(v, bound);
-  }
-  EXPECT_EQ(auditor.error(), "");
-  EXPECT_EQ(auditor.low_water_mark(), 3);
-  EXPECT_EQ(bound.load(), 3);
-}
-
-TEST(SharedBoundAuditorTest, DetectsLostUpdate) {
-  std::atomic<int> bound{100};
-  audit::SharedBoundAuditor auditor;
-  publish_min(bound, 4);
-  auditor.on_publish(4, bound);
-  // A buggy worker does a plain store that raises the bound back up.
-  bound.store(50);
-  publish_min(bound, 30);  // 30 < 50, "improves" the corrupted bound
-  auditor.on_publish(30, bound);
-  EXPECT_NE(auditor.error(), "");
-}
-
-TEST(SharedBoundAuditorTest, DetectsRaisingReset) {
-  std::atomic<int> bound{6};
-  audit::SharedBoundAuditor auditor;
-  auditor.on_publish(6, bound);
-  // Resetting to a value above the current bound would re-admit pruned
-  // branches; the auditor must flag it before the caller stores.
-  auditor.on_reset(9, bound);
-  EXPECT_NE(auditor.error(), "");
-}
-
-TEST(SharedBoundAuditorTest, AcceptsLoweringReset) {
-  std::atomic<int> bound{6};
-  audit::SharedBoundAuditor auditor;
-  auditor.on_publish(6, bound);
-  auditor.on_reset(6, bound);
-  auditor.on_reset(2, bound);
-  EXPECT_EQ(auditor.error(), "");
-}
-
-TEST(SharedBoundAuditorTest, RaceFreeUnderConcurrentPublishes) {
-  std::atomic<int> bound{1000};
-  audit::SharedBoundAuditor auditor;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([w, &bound, &auditor] {
-      RandomStream rng(static_cast<std::uint64_t>(w), 0xCAFE);
-      for (int i = 0; i < 2000; ++i) {
-        const int v = static_cast<int>(rng.uniform_int(0, 500));
-        publish_min(bound, v);
-        auditor.on_publish(v, bound);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  EXPECT_EQ(auditor.error(), "");
-  EXPECT_EQ(bound.load(), auditor.low_water_mark());
-}
-
-/// End-to-end: a real multi-threaded search run with the auditor
-/// installed through SearchLimits must keep the bound monotone. This
-/// works in plain builds — the field exists unconditionally.
-TEST(SharedBoundAuditorTest, RealSearchKeepsBoundMonotone) {
-  Model m;
-  m.add_resource(2, 1);
-  m.add_resource(1, 1);
-  RandomStream rng(11, 0xFEED);
-  for (int j = 0; j < 5; ++j) {
-    const Time est{rng.uniform_int(0, 5)};
-    const CpJobIndex job = m.add_job(est, est + Time{rng.uniform_int(4, 14)}, j);
-    const int maps = static_cast<int>(rng.uniform_int(1, 3));
-    for (int k = 0; k < maps; ++k) {
-      m.add_task(job, Phase::kMap, Time{rng.uniform_int(1, 6)});
-    }
-    m.add_task(job, Phase::kReduce, Time{rng.uniform_int(1, 4)});
-  }
-  ASSERT_EQ(m.validate(), "");
-
-  std::atomic<int> shared{static_cast<int>(m.num_jobs()) + 1};
-  audit::SharedBoundAuditor auditor;
-  SearchLimits limits;
-  limits.max_fails = 50000;
-  limits.time_limit_s = 5.0;
-  limits.shared_late_bound = &shared;
-  limits.bound_auditor = &auditor;
-
-  SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kEdf));
-  SearchStats stats;
-  const Solution sol = search.run(limits, nullptr, &stats);
-  ASSERT_TRUE(sol.valid);
-  EXPECT_EQ(auditor.error(), "");
-  EXPECT_LE(auditor.low_water_mark(), static_cast<int>(m.num_jobs()));
-  EXPECT_EQ(validate_solution(m, sol), "");
 }
 
 // --- Propagation idempotence (standalone, any build) -----------------------

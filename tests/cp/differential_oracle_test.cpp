@@ -178,7 +178,6 @@ SolveParams thorough_params(std::uint64_t seed) {
   p.improvement_fails = 200000;
   p.postpone_tries = 3;
   p.lns_iterations = 40;
-  p.lns_batch = 2;
   p.time_limit_s = 10.0;
   p.seed = seed;
   return p;

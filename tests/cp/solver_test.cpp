@@ -132,7 +132,73 @@ TEST(Solver, SolveSecondsPopulated) {
 }
 
 // Property sweep: random instances always yield valid solutions, and the
-// solver never does worse than the plain EDF first descent.
+// solver never does worse than the plain EDF first descent, cold or
+// warm-started from that descent.
+
+/// Random instance with a dense user-precedence DAG layered on top of
+/// the implicit map→reduce barrier: chains inside jobs plus cross-job
+/// edges. Exercises the SearchRoot precedence graph and the priority-topo
+/// decision-order rebuild behind every reset() of the solve's search.
+Model precedence_heavy_model(std::uint64_t seed) {
+  RandomStream rng(seed, 0x9E);
+  Model m;
+  m.add_resource(2, 2);
+  m.add_resource(3, 1);
+  std::vector<CpTaskIndex> all_maps;
+  const int num_jobs = 6;
+  for (int j = 0; j < num_jobs; ++j) {
+    const Time est{rng.uniform_int(0, 50)};
+    const CpJobIndex cj =
+        m.add_job(est, est + Time{rng.uniform_int(80, 200)}, j);
+    std::vector<CpTaskIndex> maps;
+    const int nm = static_cast<int>(rng.uniform_int(2, 5));
+    for (int t = 0; t < nm; ++t) {
+      maps.push_back(m.add_task(cj, Phase::kMap, Time{rng.uniform_int(5, 40)}));
+    }
+    const int nr = static_cast<int>(rng.uniform_int(1, 3));
+    for (int t = 0; t < nr; ++t) {
+      m.add_task(cj, Phase::kReduce, Time{rng.uniform_int(5, 40)});
+    }
+    // Chain the job's maps: map_0 -> map_1 -> ... (workflow stages).
+    for (std::size_t t = 1; t < maps.size(); ++t) {
+      m.add_precedence(maps[t - 1], maps[t]);
+    }
+    // Cross-job edge: this job's first map waits for an earlier job's
+    // map — acyclic because edges only point from lower to higher jobs.
+    if (!all_maps.empty() && rng.bernoulli(0.7)) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(all_maps.size()) - 1));
+      m.add_precedence(all_maps[pick], maps.front());
+    }
+    all_maps.insert(all_maps.end(), maps.begin(), maps.end());
+  }
+  return m;
+}
+
+void expect_valid_and_no_worse_than_edf(const Model& m, std::uint64_t seed,
+                                        const std::string& what) {
+  ASSERT_EQ(m.validate(), "") << what;
+  SetTimesSearch edf(m, make_job_ranks(m, JobOrdering::kEdf));
+  SearchLimits greedy;
+  greedy.max_fails = 0;
+  greedy.stop_after_first_solution = true;
+  SearchStats st;
+  const Solution edf_sol = edf.run(greedy, nullptr, &st);
+  ASSERT_TRUE(edf_sol.valid) << what;
+
+  SolveParams params = fast_params();
+  params.seed = seed;
+  const SolveResult result = solve(m, params);
+  ASSERT_TRUE(result.best.valid) << what;
+  EXPECT_EQ(validate_solution(m, result.best), "") << what;
+  EXPECT_LE(result.best.num_late, edf_sol.num_late) << what;
+
+  const SolveResult warm = solve(m, params, &edf_sol);
+  ASSERT_TRUE(warm.best.valid) << what;
+  EXPECT_EQ(validate_solution(m, warm.best), "") << what;
+  EXPECT_LE(warm.best.num_late, edf_sol.num_late) << what;
+}
+
 class SolverRandomProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolverRandomProperty, AlwaysValidAndNoWorseThanEdf) {
@@ -165,22 +231,9 @@ TEST_P(SolverRandomProperty, AlwaysValidAndNoWorseThanEdf) {
     for (Time d : map_durs) m.add_task(cj, Phase::kMap, d);
     for (Time d : reduce_durs) m.add_task(cj, Phase::kReduce, d);
   }
-  ASSERT_EQ(m.validate(), "");
-
-  SetTimesSearch edf(m, make_job_ranks(m, JobOrdering::kEdf));
-  SearchLimits greedy;
-  greedy.max_fails = 0;
-  greedy.stop_after_first_solution = true;
-  SearchStats st;
-  const Solution edf_sol = edf.run(greedy, nullptr, &st);
-  ASSERT_TRUE(edf_sol.valid);
-
-  SolveParams params = fast_params();
-  params.seed = GetParam();
-  const SolveResult result = solve(m, params);
-  ASSERT_TRUE(result.best.valid);
-  EXPECT_EQ(validate_solution(m, result.best), "");
-  EXPECT_LE(result.best.num_late, edf_sol.num_late);
+  expect_valid_and_no_worse_than_edf(m, GetParam(), "random");
+  expect_valid_and_no_worse_than_edf(precedence_heavy_model(GetParam()),
+                                     GetParam(), "precedence-heavy");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverRandomProperty,
@@ -269,7 +322,7 @@ struct ReferenceSolve {
 
 /// solve() without its descent memo and without the root-bound stop:
 /// every portfolio member, the B&B run and every LNS neighbourhood run
-/// as independent searches, in the sequential order solve() defines.
+/// as independent searches, in the order solve() defines.
 ReferenceSolve reference_solve(const Model& m, const SolveParams& params,
                                const Solution* warm) {
   ReferenceSolve ref;
@@ -321,42 +374,32 @@ ReferenceSolve reference_solve(const Model& m, const SolveParams& params,
   ref.lns_start = ref.best;
   if (improvable && params.lns_iterations > 0) {
     RandomStream rng(params.seed, 0x1A5);
-    const int batch = std::max(1, params.lns_batch);
-    int iters_left = params.lns_iterations;
-    while (iters_left > 0 && ref.best.num_late > 0) {
+    for (int iter = 0; iter < params.lns_iterations && ref.best.num_late > 0;
+         ++iter) {
       std::vector<std::size_t> late_jobs;
       for (std::size_t j = 0; j < ref.best.job_late.size(); ++j) {
         if (ref.best.job_late[j]) late_jobs.push_back(j);
       }
-      const int round = std::min(batch, iters_left);
-      iters_left -= round;
-      std::vector<DescentKey> nbhs;
-      for (int r = 0; r < round; ++r) {
-        const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(late_jobs.size()) - 1));
-        DescentKey key{promote_job(best_key.first, late_jobs[pick]),
-                       best_key.second};
-        if (rng.bernoulli(0.5)) {
-          std::uint8_t& flag = key.second[late_jobs[pick]];
-          flag = flag != 0 ? 0 : 1;
-        }
-        if (m.num_jobs() >= 2 && rng.bernoulli(0.5)) {
-          const auto a = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(m.num_jobs()) - 1));
-          const auto b = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(m.num_jobs()) - 1));
-          std::swap(key.first[a], key.first[b]);
-        }
-        nbhs.push_back(std::move(key));
+      const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(late_jobs.size()) - 1));
+      DescentKey key{promote_job(best_key.first, late_jobs[pick]),
+                     best_key.second};
+      if (rng.bernoulli(0.5)) {
+        std::uint8_t& flag = key.second[late_jobs[pick]];
+        flag = flag != 0 ? 0 : 1;
       }
-      std::vector<Solution> sols;
-      for (const DescentKey& key : nbhs) sols.push_back(run_descent(key));
-      ref.lns_descents += round;
-      for (std::size_t r = 0; r < nbhs.size(); ++r) {
-        if (sols[r].better_than(ref.best)) {
-          ref.best = sols[r];
-          best_key = nbhs[r];
-        }
+      if (m.num_jobs() >= 2 && rng.bernoulli(0.5)) {
+        const auto a = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(m.num_jobs()) - 1));
+        const auto b = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(m.num_jobs()) - 1));
+        std::swap(key.first[a], key.first[b]);
+      }
+      const Solution sol = run_descent(key);
+      ++ref.lns_descents;
+      if (sol.better_than(ref.best)) {
+        ref.best = sol;
+        best_key = std::move(key);
       }
     }
   }
@@ -389,7 +432,7 @@ int first_at_bound_end(const ReferenceSolve& ref, int bound) {
   return static_cast<int>(ref.members.size());
 }
 
-/// Members a sequential solve runs: none when the warm start is at the
+/// Members solve() runs: none when the warm start is at the
 /// bound, else those up to and including the first member at the bound
 /// whose key no earlier member has (a repeated key is never run twice).
 int expected_members_run(const ReferenceSolve& ref, const Solution* warm,
@@ -491,8 +534,7 @@ TEST(SolverMemo, SolveEqualsUnmemoizedReference) {
   // solve() skips descents whose (ranks, lpt) key it already took; the
   // reference runs every one. Plans, winner and ordering must not move,
   // for small models (2-3 jobs, where LNS keeps redrawing the same key)
-  // and larger ones, sequential and batched LNS, with and without a
-  // warm start, on the sequential and the pool path.
+  // and larger ones, with and without a warm start.
   int small_models = 0;
   int lns_improved = 0;
   int lns_repeats = 0;
@@ -506,8 +548,6 @@ TEST(SolverMemo, SolveEqualsUnmemoizedReference) {
     SolveParams params;
     params.time_limit_s = 60.0;  // must not bind
     params.seed = seed;
-    params.lns_batch = seed % 3 == 0 ? 4 : 1;
-    params.num_threads = seed % 5 == 0 ? 3 : 1;
 
     const ReferenceSolve ref = reference_solve(m, params, nullptr);
     std::vector<const Solution*> warms = {nullptr};
@@ -578,8 +618,8 @@ TEST(SolverMemo, TwoJobLnsRunsOnlyDistinctKeys) {
     ASSERT_TRUE(got.best.valid) << what;
     ASSERT_GT(got.best.num_late, 0) << what;
 
-    // Portfolio repeats the sequential run would have reached; the rest
-    // of the skipped descents are LNS draws.
+    // Portfolio repeats reached before the root-bound stop; the rest of
+    // the skipped descents are LNS draws.
     const ReferenceSolve ref = reference_solve(m, params, nullptr);
     const int bound = statically_late_jobs(m);
     const int reached = first_at_bound_end(ref, bound);
@@ -595,6 +635,22 @@ TEST(SolverMemo, TwoJobLnsRunsOnlyDistinctKeys) {
   }
   EXPECT_EQ(checked, 40);
   EXPECT_GE(past_member_0, 5);
+}
+
+TEST(SolverDeathTest, RejectsMoreThanOneThread) {
+  // solve() runs in the calling thread; SolveParams::num_threads remains
+  // only for callers that still set and report it, and must be 1.
+  Model m;
+  m.add_resource(1, 1);
+  const CpJobIndex j = m.add_job(Time{0}, Time{100}, 0);
+  m.add_task(j, Phase::kMap, Time{10});
+  for (int threads : {0, 2, 4}) {
+    SolveParams params = fast_params();
+    params.num_threads = threads;
+    EXPECT_DEATH(solve(m, params),
+                 "at .*solver\\.cpp:[0-9]+\n.*num_threads must be 1")
+        << "num_threads " << threads;
+  }
 }
 
 }  // namespace

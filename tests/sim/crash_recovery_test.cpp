@@ -35,7 +35,6 @@ MrcpConfig deterministic_config() {
   c.solve.time_limit_s = 120.0;
   c.solve.improvement_fails = 120;
   c.solve.lns_iterations = 2;
-  c.solve.num_threads = 1;
   return c;
 }
 

