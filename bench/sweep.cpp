@@ -12,7 +12,6 @@ void add_common_flags(Flags& flags) {
       .add_int("seed", 42, "base seed (replication r uses a derived seed)")
       .add_double("warmup", 0.1, "warmup fraction excluded from metrics")
       .add_double("solver-budget-s", 0.1, "CP solve budget per invocation (s)")
-      .add_int("threads", 1, "replications run in parallel on this many threads")
       .add_string("csv", "", "also write results as CSV to this path");
 }
 
@@ -23,7 +22,6 @@ SweepOptions SweepOptions::from_flags(const Flags& flags) {
   o.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   o.warmup = flags.get_double("warmup");
   o.solver_budget_s = flags.get_double("solver-budget-s");
-  o.threads = static_cast<unsigned>(flags.get_int("threads"));
   o.csv_path = flags.get_string("csv");
   return o;
 }
@@ -75,8 +73,7 @@ void run_mrcp_sweep(
           const Workload workload = generate_synthetic_workload(wc);
           const sim::SimMetrics metrics = sim::simulate_mrcp(workload, rm);
           return sim::summarize_run(metrics, options.warmup);
-        },
-        options.threads);
+        });
     table.add_row(sim::result_row(param_values[vi], point));
     std::fflush(stdout);
   }

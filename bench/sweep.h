@@ -34,7 +34,6 @@ struct SweepOptions {
   std::uint64_t seed = 42;
   double warmup = 0.1;
   double solver_budget_s = 0.1;
-  unsigned threads = 1;
   std::string csv_path;
 
   static SweepOptions from_flags(const Flags& flags);

@@ -14,7 +14,8 @@ namespace {
 // v2: tasks carry placement constraints (candidates, racks, affinity).
 // v3: stats drop the model-cache and warm-start counters, invocation
 //     records drop model_cache_hit (both features were removed).
-constexpr std::uint8_t kFormatVersion = 3;
+// v4: plans list their parked (job, task) pairs instead of counting them.
+constexpr std::uint8_t kFormatVersion = 4;
 
 void check_version(io::Decoder& dec, const char* what) {
   const std::uint8_t version = dec.u8();
@@ -148,7 +149,11 @@ void encode_plan(io::Encoder& enc, const Plan& plan) {
   enc.ticks(plan.planned_at);
   enc.u32(static_cast<std::uint32_t>(plan.tasks.size()));
   for (const PlannedTask& task : plan.tasks) encode_planned_task(enc, task);
-  enc.u64(plan.parked_tasks);
+  enc.u32(static_cast<std::uint32_t>(plan.parked.size()));
+  for (const auto& [job, task_index] : plan.parked) {
+    enc.i64(job);
+    enc.i64(task_index);
+  }
 }
 
 Plan decode_plan(io::Decoder& dec) {
@@ -160,7 +165,12 @@ Plan decode_plan(io::Decoder& dec) {
   for (std::uint32_t i = 0; i < num_tasks && dec.ok(); ++i) {
     plan.tasks.push_back(decode_planned_task(dec));
   }
-  plan.parked_tasks = static_cast<std::size_t>(dec.u64());
+  const std::uint32_t num_parked = dec.u32();
+  for (std::uint32_t i = 0; i < num_parked && dec.ok(); ++i) {
+    const JobId job = decode_int32(dec, "parked-task job");
+    const int task_index = decode_int32(dec, "parked-task index");
+    plan.parked.emplace_back(job, task_index);
+  }
   return plan;
 }
 

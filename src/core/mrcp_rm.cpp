@@ -23,7 +23,8 @@ MrcpRm::MrcpRm(Cluster cluster, MrcpConfig config)
   down_.assign(static_cast<std::size_t>(cluster_.size()), 0);
 }
 
-void MrcpRm::handle_resource_down(ResourceId resource, Time now) {
+std::vector<PlannedTask> MrcpRm::handle_resource_down(ResourceId resource,
+                                                      Time now) {
   MRCP_CHECK(resource >= 0 && resource < cluster_.size());
   const auto ri = static_cast<std::size_t>(resource);
   MRCP_CHECK_MSG(down_[ri] == 0, "resource failed twice without repair");
@@ -40,11 +41,21 @@ void MrcpRm::handle_resource_down(ResourceId resource, Time now) {
   // Any assignment still running or planned on the failed resource
   // becomes unassigned work; assignments that already ended stay and are
   // swept as completed by the next reschedule().
+  std::vector<PlannedTask> reset;
   for (auto& [id, st] : active_) {
     for (std::size_t ti = 0; ti < st.assignments.size(); ++ti) {
       if (st.completed[ti]) continue;
       Assignment& as = st.assignments[ti];
       if (as.assigned() && as.resource == resource && as.end > now) {
+        PlannedTask pt;
+        pt.job = id;
+        pt.task_index = static_cast<int>(ti);
+        pt.type = st.job.task(ti).type;
+        pt.resource = as.resource;
+        pt.start = as.start;
+        pt.end = as.end;
+        pt.started = as.start <= now;
+        reset.push_back(pt);
         as = Assignment{};
         ++stats_.tasks_reset_by_failure;
         // The job lost work to the failure: it must be re-solved, not
@@ -53,6 +64,7 @@ void MrcpRm::handle_resource_down(ResourceId resource, Time now) {
       }
     }
   }
+  return reset;
 }
 
 void MrcpRm::handle_resource_up(ResourceId resource, Time now) {
@@ -831,19 +843,19 @@ void MrcpRm::publish_plan(Time now) {
   ++plan_.epoch;
   plan_.planned_at = now;
   plan_.tasks.clear();
-  plan_.parked_tasks = 0;
+  plan_.parked.clear();
   for (const auto& [id, st] : active_) {
     for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
       if (st.completed[ti]) continue;
       const Assignment& as = st.assignments[ti];
       if (!as.assigned()) {
         // Only a parked job may publish unassigned work: its unstarted
-        // tasks wait for capacity and are deliberately absent from the
-        // plan (the driver cancels their stale events; see
-        // docs/degraded_mode.md). Anything else is an internal error.
+        // tasks wait for capacity and are listed apart from the plan (the
+        // driver cancels their stale events; see docs/degraded_mode.md).
+        // Anything else is an internal error.
         MRCP_CHECK_MSG(parked_.count(id) != 0,
                        "unassigned live task outside a parked job");
-        ++plan_.parked_tasks;
+        plan_.parked.emplace_back(id, static_cast<int>(ti));
         continue;
       }
       PlannedTask pt;

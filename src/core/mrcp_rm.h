@@ -165,12 +165,17 @@ class MrcpRm {
   const Plan& reschedule(Time now);
 
   /// A resource failed at `now`: its slot capacity leaves the model and
-  /// every non-completed assignment on it — running tasks the driver
-  /// just killed as well as planned-but-unstarted ones — is reset, so
-  /// the next reschedule() re-enters them as unstarted work (the Table 2
-  /// classification applied to failure recovery). The caller must invoke
-  /// reschedule(now) afterwards to publish a repaired plan.
-  void handle_resource_down(ResourceId resource, Time now);
+  /// every assignment on it that has not ended by `now` — running and
+  /// planned-but-unstarted alike — is reset, so the next reschedule()
+  /// re-enters it as unstarted work (the Table 2 classification applied
+  /// to failure recovery). Returns the reset assignments as they stood,
+  /// in (job, task) order, with `started` meaning start <= now; which of
+  /// them had actually begun, and so are lost, is the executor's to kill
+  /// (an attempt planned to start exactly at `now` may not have). The
+  /// caller must invoke reschedule(now) afterwards to publish a repaired
+  /// plan.
+  std::vector<PlannedTask> handle_resource_down(ResourceId resource,
+                                                Time now);
 
   /// The resource was repaired at `now`: its capacity rejoins the model.
   /// Call reschedule(now) to let the solver take advantage of it.

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -34,12 +35,13 @@ struct Plan {
   std::uint64_t epoch = 0;
   Time planned_at;
   std::vector<PlannedTask> tasks;
-  /// Live (non-completed) tasks deliberately absent from `tasks`: the
-  /// unstarted work of parked jobs that no currently-up resource can
-  /// host (docs/degraded_mode.md). When nonzero the driver must cancel
-  /// any stale events it still holds for absent tasks; the RM retries
-  /// the parked work via next_deferred_release() and on every repair.
-  std::size_t parked_tasks = 0;
+  /// Live (non-completed) tasks deliberately absent from `tasks`, as
+  /// (job id, flat task index) in job-then-task order: the unstarted work
+  /// of parked jobs that no currently-up resource can host
+  /// (docs/degraded_mode.md). The driver cancels any stale end event it
+  /// still holds for exactly these tasks; the RM retries the parked work
+  /// via next_deferred_release() and on every repair.
+  std::vector<std::pair<JobId, int>> parked;
 
   std::string to_string() const;
 };

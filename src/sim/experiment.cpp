@@ -1,8 +1,5 @@
 #include "sim/experiment.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "common/check.h"
 #include "common/table.h"
 
@@ -20,35 +17,14 @@ RunMetrics summarize_run(const SimMetrics& metrics, double warmup_fraction) {
 
 ReplicatedMetrics replicate(
     std::size_t replications,
-    const std::function<RunMetrics(std::size_t replication)>& run,
-    unsigned num_threads) {
+    const std::function<RunMetrics(std::size_t replication)>& run) {
   MRCP_CHECK(replications >= 1);
-  MRCP_CHECK(num_threads >= 1);
-  std::vector<RunMetrics> results(replications);
-  if (num_threads == 1) {
-    for (std::size_t rep = 0; rep < replications; ++rep) results[rep] = run(rep);
-  } else {
-    // Static work-stealing-free partition: replication r goes to thread
-    // r % num_threads. Each replication is fully independent, so the
-    // only shared state is the results slot it owns.
-    std::vector<std::thread> workers;
-    const unsigned used = static_cast<unsigned>(
-        std::min<std::size_t>(num_threads, replications));
-    workers.reserve(used);
-    for (unsigned w = 0; w < used; ++w) {
-      workers.emplace_back([&, w] {
-        for (std::size_t rep = w; rep < replications; rep += used) {
-          results[rep] = run(rep);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-  }
   RunningStat o_stat;
   RunningStat t_stat;
   RunningStat n_stat;
   RunningStat p_stat;
-  for (const RunMetrics& m : results) {
+  for (std::size_t rep = 0; rep < replications; ++rep) {
+    const RunMetrics m = run(rep);
     o_stat.add(m.O_seconds);
     t_stat.add(m.T_seconds);
     n_stat.add(m.N_late);

@@ -36,15 +36,11 @@ struct ReplicatedMetrics {
 
 /// Run `replications` simulations; `run` receives the replication index
 /// (the caller derives the workload seed from it, typically with
-/// replication_seed()). With `num_threads > 1` replications execute on a
-/// thread pool; `run` must then be thread-safe (our simulators are —
-/// each replication builds its own workload, RM, and DES). Results are
-/// aggregated in replication order, so the output is identical for any
-/// thread count.
+/// replication_seed()). Replications run one after another in the calling
+/// thread, so each one's O is measured on an otherwise idle core.
 ReplicatedMetrics replicate(
     std::size_t replications,
-    const std::function<RunMetrics(std::size_t replication)>& run,
-    unsigned num_threads = 1);
+    const std::function<RunMetrics(std::size_t replication)>& run);
 
 /// Standard result-table headers used by the bench binaries:
 /// {<param>, O(s), ±, T(s), ±, N, P(%), ±}.

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -187,9 +186,7 @@ class MrcpSimDriver {
     arrival_events_[static_cast<std::size_t>(job.id)] =
         des_.schedule_at(job.arrival_time, [this, &job] {
           rm_.submit(job, des_.now());
-          const Plan& plan = rm_.reschedule(des_.now());
-          apply_plan(plan);
-          update_deferral_wakeup();
+          replan(des_.now());
         });
   }
 
@@ -199,18 +196,16 @@ class MrcpSimDriver {
   /// start time without a replan touching it since.
   void schedule_task_end(JobId job_id, int task_index, Time end,
                          bool committed) {
-    TaskState& ts = tasks_[static_cast<std::size_t>(job_id)]
-                          [static_cast<std::size_t>(task_index)];
+    TaskState& ts = task_state(job_id, task_index);
     if (committed) {
       ts.end_event = des_.schedule_at(
           end, [this, job_id, task_index] { on_task_end(job_id, task_index); });
       return;
     }
     ts.end_event = des_.schedule_at(end, [this, job_id, task_index] {
-      TaskState& inner = tasks_[static_cast<std::size_t>(job_id)]
-                               [static_cast<std::size_t>(task_index)];
-      // The task implicitly started at inner.start; mark and complete.
-      inner.started = true;
+      // The task implicitly started at its planned start; mark and
+      // complete.
+      task_state(job_id, task_index).started = true;
       on_task_end(job_id, task_index);
     });
   }
@@ -218,15 +213,26 @@ class MrcpSimDriver {
   void schedule_deferral_wakeup(Time at) {
     deferral_wakeup_ = des_.schedule_at(at, [this] {
       deferral_wakeup_at_ = kNoTime;
-      const Plan& plan = rm_.reschedule(des_.now());
-      apply_plan(plan);
-      update_deferral_wakeup();
+      replan(des_.now());
     });
+  }
+
+  TaskState& task_state(JobId job_id, int task_index) {
+    return tasks_[static_cast<std::size_t>(job_id)]
+                 [static_cast<std::size_t>(task_index)];
+  }
+
+  /// One RM invocation at `now`: publish its plan to the executor, re-arm
+  /// the deferral wakeup, then check that the run can still finish.
+  void replan(Time now) {
+    apply_plan(rm_.reschedule(now));
+    update_deferral_wakeup();
+    check_liveness(now);
   }
 
   void on_task_end(JobId job_id, int task_index) {
     const auto ji = static_cast<std::size_t>(job_id);
-    TaskState& ts = tasks_[ji][static_cast<std::size_t>(task_index)];
+    const TaskState& ts = task_state(job_id, task_index);
     MRCP_CHECK(ts.started);
     MRCP_CHECK(des_.now() == ts.end);
     executed_.push_back(
@@ -246,31 +252,25 @@ class MrcpSimDriver {
   }
 
   void apply_plan(const Plan& plan) {
-    if (plan.parked_tasks > 0) {
-      // A degraded plan may omit the unstarted tasks of parked jobs
-      // (no currently-up resource can host them). Any end event still
-      // pending from a previous epoch for such a task is stale — cancel
-      // it and forget the placement; the RM re-plans the task once
-      // capacity returns.
-      std::set<std::pair<JobId, int>> in_plan;
-      for (const PlannedTask& pt : plan.tasks) {
-        in_plan.emplace(pt.job, pt.task_index);
-      }
-      for (std::size_t ji = 0; ji < tasks_.size(); ++ji) {
-        for (std::size_t ti = 0; ti < tasks_[ji].size(); ++ti) {
-          TaskState& ts = tasks_[ji][ti];
-          if (ts.started || !ts.end_event.pending()) continue;
-          if (in_plan.count({static_cast<JobId>(ji), static_cast<int>(ti)})) {
-            continue;
-          }
-          des_.cancel(ts.end_event);
-          ts = TaskState{};
-        }
-      }
+    // A degraded plan lists the unstarted tasks of parked jobs (no
+    // currently-up resource can host them) apart from its assignments.
+    // An end event still pending from a previous epoch for such a task is
+    // stale — cancel it and forget the placement; the RM re-plans the
+    // task once capacity returns. Nothing is inferred from absence: a
+    // task the RM swept as completed this tick is absent too, and its end
+    // event must still fire.
+    for (const auto& [job_id, task_index] : plan.parked) {
+      TaskState& ts = task_state(job_id, task_index);
+      MRCP_CHECK_MSG(!ts.started,
+                     describe_task("RM parked a task that has started",
+                                   job_id, task_index)
+                         .c_str());
+      if (!ts.end_event.pending()) continue;
+      des_.cancel(ts.end_event);
+      ts = TaskState{};
     }
     for (const PlannedTask& pt : plan.tasks) {
-      const auto ji = static_cast<std::size_t>(pt.job);
-      TaskState& ts = tasks_[ji][static_cast<std::size_t>(pt.task_index)];
+      TaskState& ts = task_state(pt.job, pt.task_index);
       if (ts.started) {
         // Running (or finished-this-tick) tasks must keep their placement.
         MRCP_CHECK_MSG(ts.resource == pt.resource && ts.start == pt.start &&
@@ -296,8 +296,6 @@ class MrcpSimDriver {
       ts.end = pt.end;
       schedule_task_end(pt.job, pt.task_index, pt.end, /*committed=*/false);
     }
-    // Mark plan-started tasks that begin before their end event fires:
-    // handled lazily above; nothing else to do.
   }
 
   void update_deferral_wakeup() {
@@ -311,35 +309,85 @@ class MrcpSimDriver {
   }
 
   void on_resource_down(ResourceId r, Time t) {
-    // Kill every attempt occupying the failed resource at t: any task
-    // whose interval began before t, plus tasks explicitly committed at
-    // this very tick (started flag). A merely *planned* task starting at
-    // t has not begun — the RM re-places it below. Tasks ending exactly
-    // at t completed normally.
-    for (std::size_t ji = 0; ji < tasks_.size(); ++ji) {
-      for (std::size_t ti = 0; ti < tasks_[ji].size(); ++ti) {
-        TaskState& ts = tasks_[ji][ti];
-        if (!ts.end_event.pending() || ts.resource != r) continue;
-        const bool occupies = ts.start < t || (ts.started && ts.start == t);
-        if (!occupies || ts.end <= t) continue;
-        des_.cancel(ts.end_event);
-        metrics_.killed.push_back(ExecutedTask{
-            static_cast<JobId>(ji), static_cast<int>(ti), r, ts.start, t});
-        ++metrics_.failure.tasks_killed;
-        metrics_.failure.wasted_ticks += t - ts.start;
-        metrics_.records[ji].failure_affected = true;
-        ts = TaskState{};
-      }
+    // The RM resets every assignment on r that has not ended by t (tasks
+    // ending exactly at t completed normally). Of those, kill the
+    // attempts that had begun: an interval that started before t, or one
+    // committed at this very tick (started flag). A merely *planned* task
+    // starting at t has not begun — its end event stays until the replan
+    // below moves it.
+    for (const PlannedTask& pt : rm_.handle_resource_down(r, t)) {
+      TaskState& ts = task_state(pt.job, pt.task_index);
+      MRCP_CHECK_MSG(ts.end_event.pending() && ts.resource == pt.resource &&
+                         ts.start == pt.start && ts.end == pt.end,
+                     (describe_task("RM reset an assignment the executor "
+                                    "does not hold",
+                                    pt.job, pt.task_index) +
+                      "; RM: resource " + std::to_string(pt.resource) +
+                      ", start " + std::to_string(pt.start.count()) +
+                      ", end " + std::to_string(pt.end.count()))
+                         .c_str());
+      const bool begun = pt.start < t || (ts.started && pt.start == t);
+      if (!begun) continue;
+      des_.cancel(ts.end_event);
+      metrics_.killed.push_back(
+          ExecutedTask{pt.job, pt.task_index, r, pt.start, t});
+      ++metrics_.failure.tasks_killed;
+      metrics_.failure.wasted_ticks += t - pt.start;
+      metrics_.records[static_cast<std::size_t>(pt.job)].failure_affected =
+          true;
+      ts = TaskState{};
     }
-    rm_.handle_resource_down(r, t);
-    apply_plan(rm_.reschedule(t));
-    update_deferral_wakeup();
+    replan(t);
   }
 
   void on_resource_up(ResourceId r, Time t) {
     rm_.handle_resource_up(r, t);
-    apply_plan(rm_.reschedule(t));
-    update_deferral_wakeup();
+    replan(t);
+  }
+
+  /// Liveness tripwire. Once every job is submitted and the RM holds no
+  /// live job, each unfinished task must have its end event due at this
+  /// very tick: the RM sweeps a task as completed at `end <= now`, before
+  /// the tick's remaining end events fire. A task with neither an
+  /// execution nor such an event can never complete, and the fault
+  /// injector — which stops only once the workload drains — would keep
+  /// the run going forever.
+  void check_liveness(Time now) {
+    if (jobs_left_ == 0 || rm_.live_jobs() != 0 ||
+        rm_.stats().jobs_submitted != w_.jobs.size()) {
+      return;
+    }
+    for (std::size_t ji = 0; ji < remaining_.size(); ++ji) {
+      if (remaining_[ji] == 0) continue;
+      for (std::size_t ti = 0; ti < tasks_[ji].size(); ++ti) {
+        const TaskState& ts = tasks_[ji][ti];
+        const bool executed = ts.started && !ts.end_event.pending();
+        const bool due_now = ts.end_event.pending() && ts.end == now;
+        MRCP_CHECK_MSG(
+            executed || due_now,
+            describe_task("liveness: the RM holds no live job, but this task "
+                          "has neither executed nor an end event due now",
+                          static_cast<JobId>(ji), static_cast<int>(ti))
+                .c_str());
+      }
+    }
+  }
+
+  /// A check message that locates (job, task) and the executor's view of
+  /// it at the current tick.
+  std::string describe_task(const char* what, JobId job_id,
+                            int task_index) const {
+    const TaskState& ts = tasks_[static_cast<std::size_t>(job_id)]
+                                [static_cast<std::size_t>(task_index)];
+    std::string text = std::string(what) + ": job " + std::to_string(job_id) +
+                       " task " + std::to_string(task_index) + " at t=" +
+                       std::to_string(des_.now().count());
+    text += " (executor: resource " + std::to_string(ts.resource) +
+            ", start " + std::to_string(ts.start.count()) + ", end " +
+            std::to_string(ts.end.count());
+    text += ts.started ? ", started" : ", not started";
+    text += ts.end_event.pending() ? ", end event pending)" : ", no end event)";
+    return text;
   }
 
   // ---- Snapshots ----

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "core/degradation.h"
@@ -233,11 +235,27 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
   rm.reschedule(Time{0});
 
   // Pre-degradation this aborted ("every resource is down"); now the
-  // work is parked until a repair.
-  rm.handle_resource_down(0, Time{10});
+  // work is parked until a repair. The failure hands back both reset
+  // assignments as they stood: the running map and the planned reduce.
+  const std::vector<PlannedTask> reset = rm.handle_resource_down(0, Time{10});
+  ASSERT_EQ(reset.size(), 2u);
+  EXPECT_EQ(reset[0].task_index, 0);
+  EXPECT_EQ(reset[0].type, TaskType::kMap);
+  EXPECT_EQ(reset[0].start, Time{0});
+  EXPECT_EQ(reset[0].end, Time{100});
+  EXPECT_TRUE(reset[0].started);
+  EXPECT_EQ(reset[1].task_index, 1);
+  EXPECT_EQ(reset[1].type, TaskType::kReduce);
+  EXPECT_EQ(reset[1].start, Time{100});
+  EXPECT_FALSE(reset[1].started);
+  for (const PlannedTask& pt : reset) {
+    EXPECT_EQ(pt.job, 0);
+    EXPECT_EQ(pt.resource, 0);
+  }
   const Plan& parked = rm.reschedule(Time{10});
   EXPECT_TRUE(parked.tasks.empty());
-  EXPECT_EQ(parked.parked_tasks, 2u);
+  const std::vector<std::pair<JobId, int>> both = {{0, 0}, {0, 1}};
+  EXPECT_EQ(parked.parked, both);
   EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kParked);
   EXPECT_EQ(rm.ledger().records().back().parked_jobs, 1u);
   EXPECT_GE(rm.stats().jobs_parked, 1u);
@@ -246,7 +264,7 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
 
   rm.handle_resource_up(0, Time{100});
   const Plan& repaired = rm.reschedule(Time{100});
-  EXPECT_EQ(repaired.parked_tasks, 0u);
+  EXPECT_TRUE(repaired.parked.empty());
   EXPECT_EQ(repaired.tasks.size(), 2u);
   EXPECT_EQ(rm.ledger().records().back().outcome,
             InvocationOutcome::kCpPrimary);
@@ -391,7 +409,7 @@ TEST(DegradedMode, ParkRetrySaturatesAtTheHorizon) {
             Time{0});
   rm.handle_resource_down(0, Time{10});
   const Plan& parked = rm.reschedule(Time{10});
-  EXPECT_EQ(parked.parked_tasks, 1u);
+  EXPECT_EQ(parked.parked.size(), 1u);
   EXPECT_EQ(rm.next_deferred_release(), kMaxTime);
   EXPECT_GT(rm.next_deferred_release(), Time{10});
 }

@@ -37,7 +37,7 @@ MrcpConfig incremental_config(
 
 bool plans_equal(const Plan& a, const Plan& b) {
   if (a.tasks.size() != b.tasks.size()) return false;
-  if (a.parked_tasks != b.parked_tasks) return false;
+  if (a.parked != b.parked) return false;
   for (std::size_t i = 0; i < a.tasks.size(); ++i) {
     const PlannedTask& x = a.tasks[i];
     const PlannedTask& y = b.tasks[i];
@@ -206,7 +206,7 @@ TEST(Incremental, ParkedJobRejoinsTheDirtySetWhenItsResourceRecovers) {
   rm.handle_resource_down(0, Time{10});
   const Plan& parked = rm.reschedule(Time{10});
   EXPECT_TRUE(parked.tasks.empty());
-  EXPECT_EQ(parked.parked_tasks, 2u);
+  EXPECT_EQ(parked.parked.size(), 2u);
   EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kParked);
   // Parked work retries on a timer even without a repair event …
   EXPECT_EQ(rm.next_deferred_release(), Time{10} + cfg.park_retry_delay);
@@ -221,7 +221,7 @@ TEST(Incremental, ParkedJobRejoinsTheDirtySetWhenItsResourceRecovers) {
   rm.handle_resource_up(0, Time{100});
   EXPECT_EQ(rm.dirty_jobs().count(0), 1u);
   const Plan& repaired = rm.reschedule(Time{100});
-  EXPECT_EQ(repaired.parked_tasks, 0u);
+  EXPECT_TRUE(repaired.parked.empty());
   EXPECT_EQ(repaired.tasks.size(), 2u);
   EXPECT_EQ(rm.ledger().records().back().outcome,
             InvocationOutcome::kCpPrimary);

@@ -92,7 +92,10 @@ Plan rnd_plan(Rng& rng) {
   for (std::uint64_t i = rng() % 6; i > 0; --i) {
     plan.tasks.push_back(rnd_planned_task(rng));
   }
-  plan.parked_tasks = static_cast<std::size_t>(rng() % 1000);
+  for (std::uint64_t i = rng() % 4; i > 0; --i) {
+    plan.parked.emplace_back(static_cast<JobId>(rng() % 1000),
+                             static_cast<int>(rng() % 100));
+  }
   return plan;
 }
 
@@ -220,7 +223,7 @@ TEST(JournalCodecs, PlanRoundTrip) {
     ASSERT_EQ(back.epoch, plan.epoch);
     ASSERT_EQ(back.planned_at, plan.planned_at);
     ASSERT_EQ(back.tasks.size(), plan.tasks.size());
-    ASSERT_EQ(back.parked_tasks, plan.parked_tasks);
+    ASSERT_EQ(back.parked, plan.parked);
   }
 }
 

@@ -30,7 +30,6 @@ expect_rule() {
 
 expect_rule unordered-iteration fixture_unordered_iteration.cc 2
 expect_rule rng-construction fixture_rng_construction.cc 3
-expect_rule blocking-under-lock fixture_blocking_under_lock.cc 3
 expect_rule no-std-rand fixture_no_std_rand.cc 3
 expect_rule no-naked-new fixture_no_naked_new.cc 3
 expect_rule no-raw-clock fixture_no_raw_clock.cc 4

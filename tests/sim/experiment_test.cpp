@@ -56,37 +56,6 @@ TEST(Replicate, AggregatesAcrossReplications) {
   EXPECT_DOUBLE_EQ(agg.P.mean, 1.0);
 }
 
-TEST(Replicate, ParallelMatchesSerial) {
-  auto runner = [](std::size_t rep) {
-    RunMetrics m;
-    m.O_seconds = 0.01 * static_cast<double>(rep + 1);
-    m.T_seconds = 50.0 + 3.0 * static_cast<double>(rep);
-    m.N_late = static_cast<double>(rep % 3);
-    m.P_percent = static_cast<double>(rep);
-    return m;
-  };
-  const ReplicatedMetrics serial = replicate(7, runner, 1);
-  const ReplicatedMetrics parallel = replicate(7, runner, 4);
-  EXPECT_DOUBLE_EQ(serial.O.mean, parallel.O.mean);
-  EXPECT_DOUBLE_EQ(serial.T.mean, parallel.T.mean);
-  EXPECT_DOUBLE_EQ(serial.T.half_width, parallel.T.half_width);
-  EXPECT_DOUBLE_EQ(serial.N.mean, parallel.N.mean);
-  EXPECT_DOUBLE_EQ(serial.P.half_width, parallel.P.half_width);
-}
-
-TEST(Replicate, MoreThreadsThanReplications) {
-  const ReplicatedMetrics agg = replicate(
-      2,
-      [](std::size_t rep) {
-        RunMetrics m;
-        m.T_seconds = static_cast<double>(rep);
-        return m;
-      },
-      16);
-  EXPECT_EQ(agg.replications, 2u);
-  EXPECT_DOUBLE_EQ(agg.T.mean, 0.5);
-}
-
 TEST(ResultTable, HeadersAndRowsAlign) {
   const auto headers = result_headers("lambda");
   const ReplicatedMetrics m;

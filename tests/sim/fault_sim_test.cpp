@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.h"
+#include "des/simulation.h"
+#include "mapreduce/synthetic_workload.h"
 #include "sim/cluster_sim.h"
+#include "sim/fault_injector.h"
 
 namespace mrcp::sim {
 namespace {
@@ -170,6 +175,109 @@ TEST(FaultSim, StragglersSlowTheJobDown) {
   EXPECT_EQ(minedf.records[0].completion, Time{6000});
   EXPECT_EQ(minedf.failure.straggler_tasks, 2u);
 }
+
+// ---- Liveness: every run ends ----
+
+/// The first failure (resource, time) the injector draws for a cluster
+/// of `resources` machines. The fault trace never depends on the
+/// workload, so a workload can be built around it.
+std::pair<ResourceId, Time> first_failure(int resources,
+                                          const FaultConfig& faults) {
+  des::Simulation des;
+  FaultInjector injector(resources, faults);
+  std::pair<ResourceId, Time> first{kNoResource, kNoTime};
+  injector.start(
+      des,
+      [&first](ResourceId r, Time t) {
+        if (first.first == kNoResource) first = {r, t};
+      },
+      [](ResourceId, Time) {});
+  while (first.first == kNoResource) {
+    if (!des.step()) break;
+  }
+  return first;
+}
+
+class FaultSimScopes : public ::testing::TestWithParam<ReplanScope> {};
+
+// A resource fails at the very tick a task ends, and the replan at that
+// tick parks another job. The RM sweeps the ending task as completed
+// (end <= now) before its end event fires; the executor must still run
+// that event. A driver that infers "parked" from absence in the plan
+// cancels it instead: the job never finishes, and the fault injector
+// keeps the run going forever.
+TEST_P(FaultSimScopes, TaskEndingAtAFailureThatParksStillCompletes) {
+  SimOptions options;
+  options.faults.mtbf_s = 1000.0;
+  options.faults.mttr_s = 20.0;
+  options.faults.seed = 5;
+  const auto [failed, at] = first_failure(2, options.faults);
+  ASSERT_NE(failed, kNoResource);
+  ASSERT_GT(at, Time{10'000});
+
+  // Job 0's only task is planned ahead of time to end exactly at the
+  // failure; no event falls between its start and its end, so nothing
+  // commits it. Job 1's only task may run on the failing resource alone,
+  // after the failure: the failure resets it and parks job 1.
+  const Time duration{1000};
+  const Job ending = make_job(0, Time{0}, at - duration,
+                              at + Time{100'000}, {duration}, {});
+  Job pinned = make_job(1, Time{0}, at + Time{5000}, at + Time{200'000},
+                        {duration}, {});
+  pinned.map_tasks[0].candidates = {failed};
+  const Workload w = make_workload({ending, pinned}, 2, 1, 1);
+
+  MrcpConfig config = deterministic_mrcp_config();
+  config.defer_future_jobs = false;
+  config.replan_scope = GetParam();
+  const SimMetrics m = simulate_mrcp(w, config, options);
+  ASSERT_EQ(m.executed.size(), 2u);
+  EXPECT_EQ(m.records[0].completion, at);
+  EXPECT_TRUE(m.killed.empty());
+  EXPECT_GT(m.records[1].completion, at + Time{5000});
+  EXPECT_GE(m.degradation.parked, 1u);
+}
+
+// Heterogeneous, placement-constrained clusters under both failure kinds
+// (independent failures and rack bursts): every run must end, every job
+// complete, and the executed trace pass the fault-aware validator.
+TEST_P(FaultSimScopes, HeteroFaultSweepEndsClean) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    SyntheticWorkloadConfig wc;
+    wc.num_jobs = 60;
+    wc.num_map_tasks = {1, 12};
+    wc.num_reduce_tasks = {1, 6};
+    wc.num_resources = 8;
+    wc.speed_choices = {500, 1000, 2000};
+    wc.num_racks = 3;
+    wc.locality_prob = 0.3;
+    wc.affinity_prob = 0.2;
+    wc.seed = seed;
+    const Workload w = generate_synthetic_workload(wc);
+
+    SimOptions options;
+    options.faults.mtbf_s = 2000.0;
+    options.faults.rack_mtbf_s = 8000.0;
+    options.faults.seed = seed;
+    MrcpConfig config = deterministic_mrcp_config();
+    config.replan_scope = GetParam();
+    const SimMetrics m = simulate_mrcp(w, config, options);
+    for (const JobRecord& r : m.records) EXPECT_TRUE(r.completed());
+    EXPECT_GT(m.failure.resource_failures, 0u);
+    EXPECT_EQ(validate_execution(w, m.executed, m.killed, m.downtime), "");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothScopes, FaultSimScopes,
+                         ::testing::Values(ReplanScope::kAllUnstarted,
+                                           ReplanScope::kDirtyOnly),
+                         [](const auto& param_info) {
+                           return param_info.param ==
+                                          ReplanScope::kAllUnstarted
+                                      ? std::string("AllUnstarted")
+                                      : std::string("DirtyOnly");
+                         });
 
 // ---- Fault-aware validator, exercised directly with hand-built traces.
 

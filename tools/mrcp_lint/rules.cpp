@@ -259,98 +259,6 @@ void rule_raw_file_io(const SourceFile& file, const RuleOptions& options,
                findings);
 }
 
-// --------------------------------------------------------------------------
-// blocking-under-lock
-// --------------------------------------------------------------------------
-
-const std::regex kLockDecl(
-    R"(\b(MutexLock|std\s*::\s*lock_guard|std\s*::\s*unique_lock|std\s*::\s*scoped_lock|std\s*::\s*shared_lock)\b)");
-const std::regex kBlockingCall(
-    R"(\b(sleep_for|sleep_until|wait_idle|run_indexed)\s*\(|\bjoin\s*\(\s*\))");
-
-void rule_blocking_under_lock(const SourceFile& file,
-                              std::vector<Finding>& findings) {
-  int depth = 0;
-  std::vector<int> lock_depths;  // brace depth at which each live lock lives
-  for (std::size_t i = 0; i < file.sanitized.size(); ++i) {
-    const std::string& line = file.sanitized[i];
-    // Events on this line, in column order: brace changes, lock
-    // declarations, blocking calls.
-    struct Event {
-      std::size_t col;
-      int kind;  // 0 = '{', 1 = '}', 2 = lock decl, 3 = blocking call
-      std::string what;
-    };
-    std::vector<Event> events;
-    for (std::size_t j = 0; j < line.size(); ++j) {
-      if (line[j] == '{') events.push_back({j, 0, "{"});
-      if (line[j] == '}') events.push_back({j, 1, "}"});
-    }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kLockDecl);
-         it != std::sregex_iterator(); ++it) {
-      // Only a *guard declaration* counts: the type, optional template
-      // arguments, then a declarator identifier. This skips the class
-      // definition, constructors (`MutexLock(Mutex&...`), destructors
-      // and pass-by-reference mentions of the same names.
-      const std::size_t start = static_cast<std::size_t>(it->position());
-      if (start > 0 && line[start - 1] == '~') continue;
-      std::size_t pos = start + static_cast<std::size_t>(it->length());
-      while (pos < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[pos])) != 0)
-        ++pos;
-      if (pos < line.size() && line[pos] == '<') {
-        int angle = 0;
-        while (pos < line.size()) {
-          if (line[pos] == '<') ++angle;
-          if (line[pos] == '>') --angle;
-          ++pos;
-          if (angle == 0) break;
-        }
-        while (pos < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[pos])) != 0)
-          ++pos;
-      }
-      const char c = pos < line.size() ? line[pos] : '\0';
-      if (std::isalpha(static_cast<unsigned char>(c)) == 0 && c != '_')
-        continue;
-      events.push_back({start, 2, it->str()});
-    }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(),
-                                        kBlockingCall);
-         it != std::sregex_iterator(); ++it)
-      events.push_back({static_cast<std::size_t>(it->position()), 3,
-                        (*it)[1].matched ? (*it)[1].str() : "join"});
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) { return a.col < b.col; });
-    for (const Event& e : events) {
-      switch (e.kind) {
-        case 0:
-          ++depth;
-          break;
-        case 1:
-          --depth;
-          while (!lock_depths.empty() && lock_depths.back() > depth)
-            lock_depths.pop_back();
-          break;
-        case 2:
-          lock_depths.push_back(depth);
-          break;
-        case 3:
-          if (!lock_depths.empty()) {
-            report(file, static_cast<int>(i) + 1,
-                   static_cast<int>(e.col) + 1, "blocking-under-lock",
-                   "'" + e.what +
-                       "' called while a lock guard is live; release the "
-                       "lock first (CondVar::wait is the sanctioned way to "
-                       "sleep under a mutex)",
-                   findings);
-          }
-          break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void run_rules(const SourceFile& file, const RuleOptions& options,
@@ -359,7 +267,6 @@ void run_rules(const SourceFile& file, const RuleOptions& options,
   rule_raw_time_literal(file, options, findings);
   rule_rng_construction(file, options, findings);
   rule_raw_file_io(file, options, findings);
-  rule_blocking_under_lock(file, findings);
   rule_pattern(file, kStdRand, "no-std-rand",
                "std::rand/srand are global-state and unseeded; draw from a "
                "RandomStream",

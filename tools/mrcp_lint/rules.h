@@ -19,11 +19,6 @@
 //                         (seeded, stream-split, reproducible). Inside
 //                         that home, an unseeded engine (default-
 //                         constructed, or a random_device) is flagged.
-//   blocking-under-lock   a sleep/join/pool-wait call while a lock guard
-//                         (MutexLock, std::lock_guard, std::unique_lock,
-//                         std::scoped_lock) is live in an enclosing scope.
-//                         CondVar::wait is exempt: waiting with the lock
-//                         held is the point of a condition variable.
 //   raw-file-io           write-capable file I/O (std::ofstream,
 //                         std::fstream, fopen, fwrite) in production code
 //                         outside the sanctioned homes (src/common/io/,

@@ -49,6 +49,56 @@ bool read_count(const Flags& flags, const char* name, std::uint64_t& out) {
   return true;
 }
 
+/// Checks integer flag --`name` >= `min`; a smaller value is reported
+/// as an error naming the flag.
+bool check_int_at_least(const Flags& flags, const char* name,
+                        std::int64_t min) {
+  const std::int64_t value = flags.get_int(name);
+  if (value >= min) return true;
+  std::fprintf(stderr, "error: --%s must be >= %lld, got %lld\n", name,
+               static_cast<long long>(min), static_cast<long long>(value));
+  return false;
+}
+
+/// Checks real flag --`name` against `ok`; a value it rejects (NaN
+/// included) is reported as an error naming the flag and what it
+/// accepts.
+template <typename Pred>
+bool check_real(const Flags& flags, const char* name, const char* accepts,
+                Pred ok) {
+  const double value = flags.get_double(name);
+  if (ok(value)) return true;
+  std::fprintf(stderr, "error: --%s must be %s, got %g\n", name, accepts,
+               value);
+  return false;
+}
+
+bool is_probability(double v) { return v >= 0.0 && v <= 1.0; }
+
+/// The generator knobs the generators would abort on, or (a negative
+/// --lambda) silently replace by the default.
+bool check_generator_flags(const Flags& flags, bool synthetic) {
+  if (!check_int_at_least(flags, "jobs", 1) ||
+      !check_real(flags, "lambda", ">= 0 (0 = generator default)",
+                  [](double v) { return v >= 0.0; })) {
+    return false;
+  }
+  if (!synthetic) return true;
+  for (const char* name :
+       {"emax", "resources", "map-slots", "reduce-slots", "num-racks"}) {
+    if (!check_int_at_least(flags, name, 1)) return false;
+  }
+  if (!check_real(flags, "p", "in [0, 1]", is_probability)) return false;
+  // Start offsets are drawn from [1, smax] only when some job may start
+  // in the future.
+  const bool offsets_drawn = flags.get_double("p") > 0.0;
+  return check_int_at_least(flags, "smax", offsets_drawn ? 1 : 0) &&
+         check_real(flags, "dm", ">= 1",
+                    [](double v) { return v >= 1.0; }) &&
+         check_real(flags, "locality-prob", "in [0, 1]", is_probability) &&
+         check_real(flags, "affinity-prob", "in [0, 1]", is_probability);
+}
+
 /// Parses --speeds ("500,1000,2000") into positive permille values; an
 /// item that is not a positive integer is reported as an error.
 bool parse_speeds(const std::string& speeds, std::vector<int>& out) {
@@ -86,11 +136,11 @@ Workload build_workload(const Flags& flags, bool& ok) {
     return w;
   }
   const std::string& gen = flags.get_string("generator");
-  std::uint64_t num_jobs = 0;
-  if (!read_count(flags, "jobs", num_jobs)) {
+  if (!check_generator_flags(flags, gen == "synthetic")) {
     ok = false;
     return Workload{};
   }
+  const auto num_jobs = static_cast<std::uint64_t>(flags.get_int("jobs"));
   if (gen == "synthetic") {
     SyntheticWorkloadConfig c;
     c.num_jobs = static_cast<std::size_t>(num_jobs);
@@ -164,6 +214,10 @@ int run_inspect(const Flags& flags) {
 }
 
 int run_simulate(const Flags& flags) {
+  if (!check_real(flags, "warmup", "in [0, 1)",
+                  [](double v) { return v >= 0.0 && v < 1.0; })) {
+    return 1;
+  }
   bool ok = false;
   const Workload w = build_workload(flags, ok);
   if (!ok) return 1;
