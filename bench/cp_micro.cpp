@@ -3,10 +3,11 @@
 // per-invocation cost that makes up the paper's O metric.
 //
 // In addition to the google-benchmark suite, the binary always writes
-// BENCH_cp_micro.json (self-timed: profile query ns/op, solve wall-time
-// on a small and an enlarged workload, and the per-phase breakdown) so
-// the perf trajectory of the hot path is tracked in a machine-readable
-// form. See docs/perf.md for how to read it.
+// BENCH_cp_micro.json (self-timed: profile query and edit ns/op on a
+// large and a real-run-sized timeline, solve wall-time on a small and an
+// enlarged workload, and the per-phase breakdown) so the perf trajectory
+// of the hot path is tracked in a machine-readable form. See
+// docs/perf.md for how to read it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -250,6 +251,46 @@ void write_bench_json(const char* path) {
     sink += Time{static_cast<std::int64_t>(q.num_events())};
   });
 
+  // The same shapes at the size real runs have (capacity 64, ~128
+  // events): the interval density of the large case on a range scaled
+  // down by kIntervals / kSmallIntervals. A separate sink keeps the
+  // checksum comparable with older runs.
+  constexpr int kSmallIntervals = 64;
+  constexpr std::int64_t kSmallRange = 100000 * kSmallIntervals / kIntervals;
+  constexpr int kSmallEditRounds = 2000;
+  Time small_sink;
+  RandomStream rs(2, 0);
+  Profile p_small(64);
+  for (int i = 0; i < kSmallIntervals; ++i) {
+    const Time est{rs.uniform_int(0, kSmallRange)};
+    const Time dur{rs.uniform_int(1, 500)};
+    p_small.add(p_small.earliest_feasible(est, dur, 1), dur, 1);
+  }
+  const double small_query_s = best_of_seconds(3, [&] {
+    Time q;
+    for (int i = 0; i < kQueries; ++i) {
+      q = (q + Time{7919}) % Time{kSmallRange};
+      small_sink += p_small.earliest_feasible(q, Time{100}, 1);
+    }
+  });
+  std::vector<std::pair<Time, Time>> small_ivs;
+  {
+    RandomStream r3(1, 0);
+    for (int i = 0; i < kSmallIntervals; ++i) {
+      small_ivs.emplace_back(r3.uniform_int(0, kSmallRange),
+                             r3.uniform_int(1, 500));
+    }
+  }
+  const double small_add_remove_s = best_of_seconds(3, [&] {
+    for (int round = 0; round < kSmallEditRounds; ++round) {
+      Profile q(64);
+      for (const auto& [s, d] : small_ivs) q.add(s, d, 1);
+      for (const auto& [s, d] : small_ivs) q.remove(s, d, 1);
+      small_sink += Time{static_cast<std::int64_t>(q.num_events())};
+    }
+  });
+  benchmark::DoNotOptimize(small_sink);
+
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource
   // model. Two instances: the historical 25-job workload and an enlarged
   // 60-job one where per-member search work dominates setup.
@@ -289,6 +330,12 @@ void write_bench_json(const char* path) {
                            : 0.0);
   std::fprintf(f, "  \"profile_add_remove_ns_per_op\": %.1f,\n",
                add_remove_s * 1e9 / (2.0 * kIntervals));
+  std::fprintf(f, "  \"profile_small_events\": %zu,\n", p_small.num_events());
+  std::fprintf(f, "  \"profile_small_earliest_feasible_ns_per_op\": %.1f,\n",
+               small_query_s * 1e9 / kQueries);
+  std::fprintf(f, "  \"profile_small_add_remove_ns_per_op\": %.1f,\n",
+               small_add_remove_s * 1e9 /
+                   (2.0 * kSmallIntervals * kSmallEditRounds));
   std::fprintf(f, "  \"solve_workload\": \"table3-combined-25jobs\",\n");
   std::fprintf(f, "  \"solve_tasks\": %zu,\n", m.num_tasks());
   std::fprintf(f, "  \"solve_num_late\": %d,\n", small.result.best.num_late);

@@ -55,6 +55,15 @@ struct InvocationRecord {
   /// Wall clock of the whole reschedule() call, up to publishing its plan
   /// (the per-call share of the paper's O).
   double wall_seconds = 0.0;
+  /// Wall clock of the call's stages (solve_wall_seconds covers the
+  /// solver): collecting and parking the live set, building and
+  /// validating the model (retry rungs included in both), mapping the
+  /// chosen placements onto resources and committing them, and
+  /// publishing the plan.
+  double collect_wall_seconds = 0.0;
+  double build_wall_seconds = 0.0;
+  double matchmake_wall_seconds = 0.0;
+  double publish_wall_seconds = 0.0;
 };
 
 /// Aggregate counters over a ledger; embedded in sim::SimMetrics and

@@ -54,23 +54,29 @@ void compile_allowed(cp::Model& model, cp::CpTaskIndex ct, const LiveTask& lt,
 
 void add_jobs_and_tasks(BuiltModel& built, std::span<const LiveJob> jobs,
                         bool combined, const Cluster* cluster) {
+  std::size_t num_tasks = 0;
+  for (const LiveJob& lj : jobs) num_tasks += lj.tasks.size();
+  built.model.reserve(jobs.size(), num_tasks);
+  built.job_refs.reserve(jobs.size());
+  built.task_refs.reserve(num_tasks);
   // (job, job-local group) -> member CP tasks; groups with >= 2 live
   // members get dense model-global ids below. Pinned members are included
   // so the search replays the resource they already occupy.
   std::map<std::pair<JobId, int>, std::vector<cp::CpTaskIndex>> groups;
+  // Flat task index -> CP task index of the current job, for wiring its
+  // precedences; -1 = not in the model. Built only for jobs with edges.
+  std::vector<cp::CpTaskIndex> by_flat_index;
   for (const LiveJob& lj : jobs) {
     MRCP_CHECK(!lj.tasks.empty());
     const cp::CpJobIndex cj = built.model.add_job(
         lj.effective_earliest_start, lj.deadline, lj.id);
     built.job_refs.push_back(lj.id);
-    // Flat task index -> CP task index, for wiring precedences below.
-    std::map<int, cp::CpTaskIndex> by_flat_index;
+    const auto first_task = static_cast<cp::CpTaskIndex>(built.model.num_tasks());
     for (const LiveTask& lt : lj.tasks) {
       const cp::CpTaskIndex ct =
           built.model.add_task(cj, to_phase(lt.type), lt.exec_time, lt.res_req,
                                lt.task_index, lt.net_demand);
       built.task_refs.emplace_back(lj.id, lt.task_index);
-      by_flat_index.emplace(lt.task_index, ct);
       if (!combined) {
         if (!lt.started) compile_allowed(built.model, ct, lt, *cluster);
         if (lt.affinity_group >= 0) {
@@ -86,12 +92,28 @@ void add_jobs_and_tasks(BuiltModel& built, std::span<const LiveJob> jobs,
         built.model.pin_task(ct, pin_res, lt.start);
       }
     }
+    if (lj.precedences.empty()) continue;
+    int max_flat = 0;
+    for (const LiveTask& lt : lj.tasks) {
+      MRCP_CHECK(lt.task_index >= 0);
+      max_flat = std::max(max_flat, lt.task_index);
+    }
+    by_flat_index.assign(static_cast<std::size_t>(max_flat) + 1, -1);
+    for (std::size_t k = 0; k < lj.tasks.size(); ++k) {
+      by_flat_index[static_cast<std::size_t>(lj.tasks[k].task_index)] =
+          first_task + static_cast<cp::CpTaskIndex>(k);
+    }
+    auto lookup = [&](int flat) -> cp::CpTaskIndex {
+      return flat >= 0 && flat <= max_flat
+                 ? by_flat_index[static_cast<std::size_t>(flat)]
+                 : -1;
+    };
     for (const auto& [before, after] : lj.precedences) {
-      const auto b = by_flat_index.find(before);
-      const auto a = by_flat_index.find(after);
-      MRCP_CHECK_MSG(b != by_flat_index.end() && a != by_flat_index.end(),
+      const cp::CpTaskIndex b = lookup(before);
+      const cp::CpTaskIndex a = lookup(after);
+      MRCP_CHECK_MSG(b >= 0 && a >= 0,
                      "precedence references a task absent from the model");
-      built.model.add_precedence(b->second, a->second);
+      built.model.add_precedence(b, a);
     }
   }
   // Dense model-global group ids, in deterministic (job id, group) order.

@@ -241,6 +241,8 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
         list.push_back(host);
       }
     }
+    lj.tasks.reserve(static_cast<std::size_t>(
+        std::count(st.completed.begin(), st.completed.end(), 0)));
     for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
       if (st.completed[ti]) continue;
       const Task& task = st.job.task(ti);
@@ -272,7 +274,7 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
         lt.resource = as.resource;
         lt.start = as.start;
       }
-      lj.tasks.push_back(lt);
+      lj.tasks.push_back(std::move(lt));
     }
     MRCP_CHECK(!lj.tasks.empty());  // fully-completed jobs were swept
     // Workflow precedences: edges whose predecessor (or successor)
@@ -518,7 +520,9 @@ const Plan& MrcpRm::reschedule(Time now) {
   rec.sim_time = now;
   // Every exit publishes the plan and closes the invocation's record.
   auto finish = [&]() -> const Plan& {
+    Stopwatch publish;
     publish_plan(now);
+    rec.publish_wall_seconds = publish.elapsed_seconds();
     rec.epoch = plan_.epoch;
     rec.wall_seconds = timer.elapsed_seconds();
     ledger_.record(rec);
@@ -564,9 +568,11 @@ const Plan& MrcpRm::reschedule(Time now) {
   dirty_ = false;
   park_retry_at_ = kNoTime;
 
+  Stopwatch stage;
   std::vector<LiveJob> live =
       collect_live_jobs(now, /*freeze_all_planned=*/false);
   park_unplaceable(live, now);
+  rec.collect_wall_seconds = stage.elapsed_seconds();
   rec.parked_jobs = parked_.size();
   rec.dirty_jobs = dirty_jobs_.size();
   for (const LiveJob& lj : live) {
@@ -614,6 +620,7 @@ const Plan& MrcpRm::reschedule(Time now) {
         !placement_active && cluster_.uniform_speed_permille() > 0 &&
         rec.frozen_tasks == 0;
 
+    stage.reset();
     BuiltModel built = combined ? build_combined_model(cluster_, live)
                                 : build_direct_model(cluster_, live);
     // After park_unplaceable() every free task has a capable host, so a
@@ -621,6 +628,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     // runtime condition — it stays fatal.
     const std::string model_err = built.model.validate();
     MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
+    rec.build_wall_seconds = stage.elapsed_seconds();
 
     cp::SolveParams params = config_.solve;
     // Vary the LNS seed across invocations, deterministically.
@@ -681,12 +689,16 @@ const Plan& MrcpRm::reschedule(Time now) {
         // The combined-resource abstraction is unsound with frozen
         // fragments (see the frozen-boundary comment above), so retries
         // always solve the direct model.
+        stage.reset();
         std::vector<LiveJob> frozen = collect_live_jobs(now, true);
         strip_parked(frozen);
+        rec.collect_wall_seconds += stage.elapsed_seconds();
         if (frozen.empty()) break;
+        stage.reset();
         BuiltModel shrunk = build_direct_model(cluster_, frozen);
         const std::string frozen_err = shrunk.model.validate();
         MRCP_CHECK_MSG(frozen_err.empty(), frozen_err.c_str());
+        rec.build_wall_seconds += stage.elapsed_seconds();
 
         cp::SolveParams retry_params = params;
         // ldexp, not (1 << retry): a configured max_solve_retries >= 31
@@ -771,6 +783,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     })
 
     // Map CP placements back onto cluster resources.
+    stage.reset();
     std::vector<ResourceId> resources(bm.task_refs.size(), kNoResource);
     if (bm.combined) {
       std::vector<MatchItem> items(bm.task_refs.size());
@@ -814,6 +827,7 @@ const Plan& MrcpRm::reschedule(Time now) {
                                                chosen.placements[i].resource);
     }
     rec.live_tasks = bm.model.num_tasks();
+    rec.matchmake_wall_seconds = stage.elapsed_seconds();
   }
 
   // The invocation consumed the dirty set: every dirty job either got

@@ -27,6 +27,12 @@ CpJobIndex Model::add_job(Time earliest_start, Time deadline,
   return static_cast<CpJobIndex>(jobs_.size() - 1);
 }
 
+void Model::reserve(std::size_t jobs, std::size_t tasks) {
+  jobs_.reserve(jobs);
+  tasks_.reserve(tasks);
+  preds_.reserve(tasks);
+}
+
 CpTaskIndex Model::add_task(CpJobIndex job, Phase phase, Time duration, int demand,
                             std::int64_t external_id, int net_demand) {
   MRCP_CHECK(job >= 0 && static_cast<std::size_t>(job) < jobs_.size());

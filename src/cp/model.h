@@ -101,6 +101,8 @@ class Model {
                      std::int64_t external_id = -1);
   CpTaskIndex add_task(CpJobIndex job, Phase phase, Time duration, int demand = 1,
                        std::int64_t external_id = -1, int net_demand = 0);
+  /// Reserve storage for `jobs` jobs and `tasks` tasks in total.
+  void reserve(std::size_t jobs, std::size_t tasks);
 
   /// Restrict the alternative for `task` to the given resources.
   void restrict_candidates(CpTaskIndex task, std::vector<CpResourceIndex> resources);

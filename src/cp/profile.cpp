@@ -18,70 +18,9 @@ std::size_t Profile::first_after(Time t) const {
   return static_cast<std::size_t>(it - timeline_.begin());
 }
 
-// Both sweeps are block-first: finish the (possibly partial) entry block
-// element-wise, then hop whole blocks on the summary alone, and only then
-// scan inside the one block the summary could not exclude. The entry
-// block must be scanned element-wise even when its summary would allow a
-// skip in the other direction — the summary also covers entries before
-// `i`, so it can prove nothing about the suffix the caller asked for.
-std::size_t Profile::next_violation(std::size_t i, int limit) const {
-  const std::size_t n = timeline_.size();
-  if (i % kBlockSize != 0) {
-    const std::size_t entry_end =
-        std::min(n, (i / kBlockSize + 1) * kBlockSize);
-    for (; i < entry_end; ++i) {
-      if (timeline_[i].usage > limit) return i;
-    }
-  }
-  if (i >= n) return n;
-  std::size_t b = i / kBlockSize;
-  while (b < blocks_.size() && blocks_[b].max_usage <= limit) ++b;
-  i = b * kBlockSize;
-  const std::size_t block_end = std::min(n, i + kBlockSize);
-  for (; i < block_end; ++i) {
-    if (timeline_[i].usage > limit) return i;
-  }
-  // A block whose max_usage exceeds the limit contains a violation, so
-  // the scan above returned unless the block loop ran off the end.
-  MRCP_DCHECK(b >= blocks_.size());
-  return n;
-}
-
 std::size_t Profile::next_ok(std::size_t i, int limit) const {
-  const std::size_t n = timeline_.size();
-  if (i % kBlockSize != 0) {
-    const std::size_t entry_end =
-        std::min(n, (i / kBlockSize + 1) * kBlockSize);
-    for (; i < entry_end; ++i) {
-      if (timeline_[i].usage <= limit) return i;
-    }
-  }
-  if (i >= n) return n;
-  std::size_t b = i / kBlockSize;
-  while (b < blocks_.size() && blocks_[b].min_usage > limit) ++b;
-  i = b * kBlockSize;
-  const std::size_t block_end = std::min(n, i + kBlockSize);
-  for (; i < block_end; ++i) {
-    if (timeline_[i].usage <= limit) return i;
-  }
-  MRCP_DCHECK(b >= blocks_.size());
-  return n;
-}
-
-void Profile::rebuild_blocks_from(std::size_t event_index) {
-  const std::size_t n = timeline_.size();
-  const std::size_t num_blocks = (n + kBlockSize - 1) / kBlockSize;
-  blocks_.resize(num_blocks);
-  for (std::size_t b = event_index / kBlockSize; b < num_blocks; ++b) {
-    const std::size_t lo = b * kBlockSize;
-    const std::size_t hi = std::min(lo + kBlockSize, n);
-    Block block{timeline_[lo].usage, timeline_[lo].usage};
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      block.min_usage = std::min(block.min_usage, timeline_[i].usage);
-      block.max_usage = std::max(block.max_usage, timeline_[i].usage);
-    }
-    blocks_[b] = block;
-  }
+  while (i < timeline_.size() && timeline_[i].usage > limit) ++i;
+  return i;
 }
 
 Time Profile::earliest_feasible(Time est, Time duration, int demand) const {
@@ -102,16 +41,21 @@ Time Profile::earliest_feasible(Time est, Time duration, int demand) const {
     candidate = timeline_[i].time;
     ++i;
   }
-  // Invariant: usage <= limit on [candidate, time of entry i).
-  while (true) {
-    const std::size_t k = next_violation(i, limit);
-    const Time window_end = k < timeline_.size() ? timeline_[k].time : kMaxTime;
-    if (window_end - candidate >= duration) return candidate;
-    const std::size_t m = next_ok(k + 1, limit);
-    MRCP_DCHECK(m < timeline_.size());
-    candidate = timeline_[m].time;
-    i = m + 1;
+  // Invariant: usage <= limit on [candidate, time of entry i). Only the
+  // entries inside [candidate, candidate + duration) can refute it; an
+  // overloaded one moves the candidate to the next entry that fits.
+  const std::size_t n = timeline_.size();
+  while (i < n && timeline_[i].time - candidate < duration) {
+    if (timeline_[i].usage <= limit) {
+      ++i;
+      continue;
+    }
+    i = next_ok(i + 1, limit);
+    MRCP_DCHECK(i < n);
+    candidate = timeline_[i].time;
+    ++i;
   }
+  return candidate;
 }
 
 bool Profile::fits(Time start, Time duration, int demand) const {
@@ -154,8 +98,6 @@ void Profile::apply(Time start, Time duration, int delta) {
   // set-times search produces when it fixes tasks in time order).
   if (timeline_.empty() || start >= timeline_.back().time) {
     const int base = timeline_.empty() ? 0 : timeline_.back().usage;
-    const std::size_t first_touched =
-        timeline_.empty() ? 0 : timeline_.size() - 1;
     if (!timeline_.empty() && timeline_.back().time == start) {
       timeline_.back().usage += delta;
       drop_if_redundant(timeline_.size() - 1);
@@ -166,7 +108,6 @@ void Profile::apply(Time start, Time duration, int delta) {
         timeline_.back().usage != base) {
       timeline_.push_back(Event{end, base});
     }
-    rebuild_blocks_from(first_touched);
     return;
   }
 
@@ -178,7 +119,6 @@ void Profile::apply(Time start, Time duration, int delta) {
   // pairwise-distinct levels: they all shifted by the same delta).
   if (drop_if_redundant(lo)) --hi;
   drop_if_redundant(hi);
-  rebuild_blocks_from(lo > 0 ? lo - 1 : 0);
 }
 
 void Profile::add(Time start, Time duration, int demand) {
@@ -203,7 +143,7 @@ Time Profile::next_event_after(Time t) const {
 
 int Profile::peak_usage() const {
   int peak = 0;
-  for (const Block& b : blocks_) peak = std::max(peak, b.max_usage);
+  for (const Event& e : timeline_) peak = std::max(peak, e.usage);
   return peak;
 }
 

@@ -12,11 +12,13 @@
 //
 // Representation: a flat sorted timeline of (time, usage) change points
 // — entry i means the usage level is `usage` on [time_i, time_{i+1}).
-// Queries enter the timeline with a binary search instead of rescanning
-// a delta map from the beginning, appends at or after the last event
-// (the common case set-times search produces) are amortized O(1), and a
-// per-block min/max skip index lets the feasibility sweep jump whole
-// infeasible (or known-feasible) stretches instead of walking them.
+// The timeline is canonical (adjacent levels differ), so a plateau of
+// any length is one entry. Queries enter it with a binary search and
+// then scan only the entries inside the asked-for window; appends at or
+// after the last event (the common case set-times search produces) are
+// amortized O(1). Real runs keep timelines at a few hundred entries at
+// most, where a linear scan beats any summary index it would have to
+// maintain on every edit.
 #pragma once
 
 #include <cstddef>
@@ -66,12 +68,6 @@ class Profile {
     Time time;
     int usage;
   };
-  /// min/max usage over one block of kBlockSize consecutive events.
-  struct Block {
-    int min_usage;
-    int max_usage;
-  };
-  static constexpr std::size_t kBlockSize = 64;
 
   void apply(Time start, Time duration, int delta);
   /// Index of the entry at exactly time t, inserting one (with the
@@ -81,16 +77,12 @@ class Profile {
   bool drop_if_redundant(std::size_t i);
   /// Index of the first entry with time > t (== size() if none).
   std::size_t first_after(Time t) const;
-  /// First index >= i whose usage exceeds `limit` (== size() if none).
-  std::size_t next_violation(std::size_t i, int limit) const;
   /// First index >= i whose usage is <= `limit` (== size() if none).
   std::size_t next_ok(std::size_t i, int limit) const;
-  void rebuild_blocks_from(std::size_t event_index);
 
   int capacity_;
   std::vector<Event> timeline_;  ///< canonical: times increasing, levels
                                  ///< distinct from their predecessor
-  std::vector<Block> blocks_;    ///< skip index over timeline_
 };
 
 }  // namespace mrcp::cp

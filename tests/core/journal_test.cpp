@@ -243,9 +243,9 @@ TEST(JournalCodecs, InvocationRecordRoundTrip) {
 }
 
 TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
-  // The portfolio why-fields and the call's wall clock are a side
-  // channel: journal bytes (and so snapshots and recovery) must not
-  // depend on them.
+  // The portfolio why-fields and the call's wall clocks (whole call and
+  // per stage) are a side channel: journal bytes (and so snapshots and
+  // recovery) must not depend on them.
   Rng rng(9);
   for (int i = 0; i < 100; ++i) {
     const InvocationRecord rec = rnd_invocation(rng);
@@ -256,6 +256,14 @@ TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
     with_provenance.repeat_descents_skipped =
         1 + static_cast<std::int64_t>(rng() % 40);
     with_provenance.wall_seconds = 1e-3 * static_cast<double>(1 + rng() % 500);
+    with_provenance.collect_wall_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
+    with_provenance.build_wall_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
+    with_provenance.matchmake_wall_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
+    with_provenance.publish_wall_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
     io::Encoder plain;
     encode_invocation_record(plain, rec);
     io::Encoder marked;

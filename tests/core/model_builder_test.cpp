@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace mrcp {
 namespace {
 
@@ -105,6 +108,84 @@ TEST(ModelBuilder, PhaseStructurePreserved) {
   EXPECT_EQ(built.model.job(0).reduce_tasks.size(), 1u);
   EXPECT_EQ(built.model.task(2).phase, cp::Phase::kReduce);
   EXPECT_EQ(built.model.task(2).duration, Time{50});
+}
+
+/// Three jobs on a homogeneous cluster. Jobs 20 and 22 carry workflow
+/// precedences between live tasks listed out of flat order, with their
+/// completed tasks omitted (job 20 lost flat 0, 2 and 5; job 22 lost
+/// flat 1); job 21 has no edges.
+std::vector<LiveJob> workflow_live_jobs() {
+  auto task = [](int index, TaskType type) {
+    return live_task(index, type, Time{10 + index}, false, kNoResource,
+                     kNoTime);
+  };
+  std::vector<LiveJob> jobs(3);
+  jobs[0].id = 20;
+  jobs[0].effective_earliest_start = Time{0};
+  jobs[0].deadline = Time{1000};
+  // CP tasks 0..4.
+  jobs[0].tasks = {task(6, TaskType::kMap), task(1, TaskType::kMap),
+                   task(4, TaskType::kMap), task(3, TaskType::kMap),
+                   task(7, TaskType::kReduce)};
+  jobs[0].precedences = {{6, 1}, {3, 7}, {4, 3}};
+  jobs[1].id = 21;
+  jobs[1].effective_earliest_start = Time{0};
+  jobs[1].deadline = Time{1000};
+  // CP tasks 5..6.
+  jobs[1].tasks = {task(0, TaskType::kMap), task(1, TaskType::kReduce)};
+  jobs[2].id = 22;
+  jobs[2].effective_earliest_start = Time{0};
+  jobs[2].deadline = Time{1000};
+  // CP tasks 7..9.
+  jobs[2].tasks = {task(3, TaskType::kMap), task(0, TaskType::kMap),
+                   task(2, TaskType::kMap)};
+  jobs[2].precedences = {{3, 0}, {2, 0}};
+  return jobs;
+}
+
+void expect_workflow_edges(const BuiltModel& built) {
+  using Preds = std::vector<cp::CpTaskIndex>;
+  ASSERT_EQ(built.model.num_tasks(), 10u);
+  EXPECT_EQ(built.model.num_precedences(), 5u);
+  // Job 20: 6 -> 1, 4 -> 3 -> 7.
+  EXPECT_EQ(built.model.predecessors(0), Preds{});
+  EXPECT_EQ(built.model.predecessors(1), Preds{0});
+  EXPECT_EQ(built.model.predecessors(2), Preds{});
+  EXPECT_EQ(built.model.predecessors(3), Preds{2});
+  EXPECT_EQ(built.model.predecessors(4), Preds{3});
+  // Job 21: no edges.
+  EXPECT_EQ(built.model.predecessors(5), Preds{});
+  EXPECT_EQ(built.model.predecessors(6), Preds{});
+  // Job 22: 3 -> 0 <- 2.
+  EXPECT_EQ(built.model.predecessors(7), Preds{});
+  EXPECT_EQ(built.model.predecessors(8), (Preds{7, 9}));
+  EXPECT_EQ(built.model.predecessors(9), Preds{});
+  EXPECT_EQ(built.model.validate(), "");
+}
+
+TEST(ModelBuilder, PrecedencesMapFlatIndicesToLiveTasksDirect) {
+  const Cluster cluster = Cluster::homogeneous(4, 2, 2);
+  expect_workflow_edges(build_direct_model(cluster, workflow_live_jobs()));
+}
+
+TEST(ModelBuilder, PrecedencesMapFlatIndicesToLiveTasksCombined) {
+  const Cluster cluster = Cluster::homogeneous(4, 2, 2);
+  expect_workflow_edges(build_combined_model(cluster, workflow_live_jobs()));
+}
+
+TEST(ModelBuilderDeathTest, PrecedenceOnAnAbsentTaskIsFatal) {
+  const Cluster cluster = Cluster::homogeneous(4, 2, 2);
+  // Job 20's flat 5 completed (absent), flat 9 lies beyond the job and
+  // flat -1 is no task at all.
+  for (const std::pair<int, int>& edge :
+       {std::pair{5, 1}, std::pair{1, 9}, std::pair{-1, 6}}) {
+    std::vector<LiveJob> jobs = workflow_live_jobs();
+    jobs[0].precedences.push_back(edge);
+    EXPECT_DEATH(build_direct_model(cluster, jobs),
+                 "precedence references a task absent from the model");
+    EXPECT_DEATH(build_combined_model(cluster, jobs),
+                 "precedence references a task absent from the model");
+  }
 }
 
 }  // namespace

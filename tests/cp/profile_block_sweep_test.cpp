@@ -1,11 +1,11 @@
-// Differential test of the block-first feasibility sweeps inside
-// Profile (next_violation / next_ok, exercised through earliest_feasible
-// and fits) against the always-compiled O(n^2) audit::ReferenceProfile
-// oracle. The constructions force every sweep regime: timelines several
-// times longer than the 64-event skip block, queries entering mid-block
-// and exactly at block boundaries, long capacity-saturated plateaus
-// (whole-block next_ok skips), and removal storms that shrink and
-// re-grow the block index.
+// Differential test of the feasibility sweeps inside Profile (the
+// window scan and next_ok, exercised through earliest_feasible and
+// fits) against the always-compiled O(n^2) audit::ReferenceProfile
+// oracle. The file keeps the cases written for the per-64-event block
+// index the timeline once carried: timelines several times longer than
+// 64 events, queries at, just before and just after every change point,
+// long capacity-saturated plateaus with sparse holes, and removal storms
+// that shrink the timeline back to empty.
 #include "cp/profile.h"
 
 #include <gtest/gtest.h>
@@ -52,9 +52,9 @@ void check_around_change_points(const Profile& fast,
 }
 
 TEST(ProfileBlockSweep, SaturatedPlateausWithSparseHoles) {
-  // Full-capacity plateaus hundreds of events long: next_ok must skip
-  // whole blocks to find the sparse holes, and next_violation must stop
-  // at the first saturated entry after each hole.
+  // Full-capacity plateaus hundreds of events long: next_ok must find
+  // the sparse holes, and the window scan must stop at the first
+  // saturated entry after each hole.
   constexpr int kCapacity = 4;
   Profile fast(kCapacity);
   audit::ReferenceProfile ref(kCapacity);

@@ -2,8 +2,7 @@
 // straightforward map-of-deltas reference model (the seed
 // implementation), over long random add/remove/query sequences. Any
 // divergence in earliest_feasible / fits / usage_at / peak_usage /
-// next_event_after / num_events is a bug in the timeline or its skip
-// index.
+// next_event_after / num_events is a bug in the timeline.
 #include "cp/profile.h"
 
 #include <gtest/gtest.h>

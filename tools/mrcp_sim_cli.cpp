@@ -331,11 +331,23 @@ int run_simulate(const Flags& flags) {
     std::printf("  budget-bound solves = %lld\n",
                 static_cast<long long>(budget_bound));
     std::int64_t repeats = 0;
+    double collect_s = 0.0;
+    double build_s = 0.0;
+    double matchmake_s = 0.0;
+    double publish_s = 0.0;
     for (const InvocationRecord& rec : metrics.invocations) {
       repeats += rec.repeat_descents_skipped;
+      collect_s += rec.collect_wall_seconds;
+      build_s += rec.build_wall_seconds;
+      matchmake_s += rec.matchmake_wall_seconds;
+      publish_s += rec.publish_wall_seconds;
     }
     std::printf("  repeat descents skipped = %lld\n",
                 static_cast<long long>(repeats));
+    std::printf("  collect wall = %.3f s, build wall = %.3f s\n", collect_s,
+                build_s);
+    std::printf("  matchmake wall = %.3f s, publish wall = %.3f s\n",
+                matchmake_s, publish_s);
     std::printf("degradation:\n");
     std::printf("  primary = %llu, retry = %llu, fallback = %llu\n",
                 static_cast<unsigned long long>(d.primary),
