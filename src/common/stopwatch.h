@@ -4,6 +4,7 @@
 // steady_clock, which has the same monotonic semantics.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 
 namespace mrcp {
@@ -38,10 +39,18 @@ class Stopwatch {
 /// (docs/degraded_mode.md).
 class Deadline {
  public:
-  explicit Deadline(double seconds_from_now)
-      : at_(std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(seconds_from_now))) {}
+  explicit Deadline(double seconds_from_now) {
+    // steady_clock counts int64 nanoseconds (about 292 years): a span
+    // converted past that range would overflow into the past and expire
+    // the deadline at once. So a span of kNeverSeconds or more (or NaN)
+    // never expires, and a negative span is clamped to "already expired".
+    if (!(seconds_from_now < kNeverSeconds)) return;
+    at_ = std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(std::max(seconds_from_now, 0.0)));
+  }
+
+  static constexpr double kNeverSeconds = 1e9;  ///< about 31.7 years
 
   bool expired() const { return std::chrono::steady_clock::now() >= at_; }
 
@@ -52,7 +61,8 @@ class Deadline {
   }
 
  private:
-  std::chrono::steady_clock::time_point at_;
+  std::chrono::steady_clock::time_point at_ =
+      std::chrono::steady_clock::time_point::max();
 };
 
 }  // namespace mrcp

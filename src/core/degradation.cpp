@@ -7,7 +7,6 @@ namespace mrcp {
 const char* invocation_outcome_name(InvocationOutcome outcome) {
   switch (outcome) {
     case InvocationOutcome::kCpPrimary: return "cp-primary";
-    case InvocationOutcome::kCpRetry: return "cp-retry";
     case InvocationOutcome::kFallback: return "fallback";
     case InvocationOutcome::kParked: return "parked";
     case InvocationOutcome::kSkipped: return "skipped";
@@ -20,7 +19,6 @@ void DegradationLedger::record(const InvocationRecord& rec) {
   records_.push_back(rec);
   switch (rec.outcome) {
     case InvocationOutcome::kCpPrimary: ++counts_.primary; break;
-    case InvocationOutcome::kCpRetry: ++counts_.retry; break;
     case InvocationOutcome::kFallback: ++counts_.fallback; break;
     case InvocationOutcome::kParked: ++counts_.parked; break;
     case InvocationOutcome::kSkipped: ++counts_.skipped; break;
@@ -33,8 +31,7 @@ void DegradationLedger::record(const InvocationRecord& rec) {
 std::string DegradationLedger::summary() const {
   std::ostringstream os;
   os << "invocations=" << counts_.invocations()
-     << " primary=" << counts_.primary << " retry=" << counts_.retry
-     << " fallback=" << counts_.fallback << " parked=" << counts_.parked
+     << " primary=" << counts_.primary << " fallback=" << counts_.fallback << " parked=" << counts_.parked
      << " skipped=" << counts_.skipped << " idle=" << counts_.idle
      << " attempts=" << counts_.solve_attempts;
   return os.str();

@@ -1,14 +1,13 @@
 // Degradation ledger: per-invocation attribution of how MRCP-RM obtained
 // each published plan (docs/degraded_mode.md).
 //
-// Every reschedule() appends one InvocationRecord saying which rung of
-// the escalation ladder produced the plan — the primary CP solve, a
-// shrink/backoff retry, the EDF fallback scheduler, a backpressure
-// short-circuit, or nothing at all (idle / everything parked) — plus how
-// many CP attempts ran and how much wall clock they burned. The ledger
-// is what makes degraded operation observable: a run that silently fell
-// back on every invocation would otherwise look identical to a healthy
-// one in the O/N/T/P metrics.
+// Every reschedule() appends one InvocationRecord saying what produced
+// the plan — the primary CP solve, the EDF fallback scheduler after an
+// aborted solve, a backpressure short-circuit, or nothing at all (idle /
+// everything parked) — plus how many CP attempts ran and how much wall
+// clock they burned. The ledger is what makes degraded operation
+// observable: a run that silently fell back on every invocation would
+// otherwise look identical to a healthy one in the O/N/T/P metrics.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +19,9 @@
 
 namespace mrcp {
 
-/// Which rung of the escalation ladder produced an invocation's plan.
+/// What produced an invocation's plan.
 enum class InvocationOutcome : std::uint8_t {
   kCpPrimary,  ///< the primary CP solve (healthy path)
-  kCpRetry,    ///< a shrink/backoff retry found its own solution (degraded)
   kFallback,   ///< the EDF fallback scheduler's plan was published (degraded)
   kParked,     ///< nothing schedulable: every live job parked (degraded)
   kSkipped,    ///< backpressure short-circuit: previous plan republished
@@ -35,7 +33,9 @@ const char* invocation_outcome_name(InvocationOutcome outcome);
 struct InvocationRecord {
   std::uint64_t epoch = 0;  ///< plan epoch this invocation published
   Time sim_time;
-  int attempts = 0;  ///< cp::solve calls made (0 = none ran)
+  /// cp::solve calls made: 0 = none ran, 2 = the primary solve aborted
+  /// and the anti-affinity completion search settled the fallback.
+  int attempts = 0;
   cp::SolveStatus last_status = cp::SolveStatus::kFeasible;  ///< of last attempt
   InvocationOutcome outcome = InvocationOutcome::kIdle;
   double solve_wall_seconds = 0.0;  ///< wall clock inside cp::solve
@@ -57,9 +57,8 @@ struct InvocationRecord {
   double wall_seconds = 0.0;
   /// Wall clock of the call's stages (solve_wall_seconds covers the
   /// solver): collecting and parking the live set, building and
-  /// validating the model (retry rungs included in both), mapping the
-  /// chosen placements onto resources and committing them, and
-  /// publishing the plan.
+  /// validating the model, mapping the chosen placements onto resources
+  /// and committing them, and publishing the plan.
   double collect_wall_seconds = 0.0;
   double build_wall_seconds = 0.0;
   double matchmake_wall_seconds = 0.0;
@@ -70,7 +69,6 @@ struct InvocationRecord {
 /// printed by `mrcp-sim --stats`.
 struct DegradationCounts {
   std::uint64_t primary = 0;
-  std::uint64_t retry = 0;
   std::uint64_t fallback = 0;
   std::uint64_t parked = 0;
   std::uint64_t skipped = 0;
@@ -82,10 +80,10 @@ struct DegradationCounts {
   std::uint64_t jobs_backpressured = 0;
 
   std::uint64_t invocations() const {
-    return primary + retry + fallback + parked + skipped + idle;
+    return primary + fallback + parked + skipped + idle;
   }
   /// Invocations that did not get a plan from the primary CP solve.
-  std::uint64_t degraded() const { return retry + fallback + parked; }
+  std::uint64_t degraded() const { return fallback + parked; }
 };
 
 class DegradationLedger {

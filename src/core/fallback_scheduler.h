@@ -1,5 +1,5 @@
-// Deterministic EDF list scheduler over the CP model — the final rung of
-// the degraded-mode escalation ladder (docs/degraded_mode.md).
+// Deterministic EDF list scheduler over the CP model — the resource
+// manager's degraded-mode fallback (docs/degraded_mode.md).
 //
 // When the CP solve's hard watchdog expires before any descent completes,
 // the resource manager still owes the simulator a complete plan. This
@@ -23,10 +23,12 @@
 namespace mrcp {
 
 /// Greedy EDF-ordered list schedule for `model`. For a model that passes
-/// Model::validate() the result is always valid (a complete,
-/// constraint-satisfying schedule, evaluated like any CP solution).
-/// Returns an invalid solution only when some non-pinned task fits no
-/// resource at all — a model validate() would have rejected.
+/// Model::validate() and has no anti-affinity group the result is always
+/// valid (a complete, constraint-satisfying schedule, evaluated like any
+/// CP solution). Returns an invalid solution when some non-pinned task
+/// fits no resource at all — a model validate() would have rejected — or
+/// when the greedy pass, which never backtracks, leaves an anti-affinity
+/// group member without a distinct host.
 cp::Solution fallback_schedule(const cp::Model& model);
 
 }  // namespace mrcp

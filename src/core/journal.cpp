@@ -15,7 +15,9 @@ namespace {
 // v3: stats drop the model-cache and warm-start counters, invocation
 //     records drop model_cache_hit (both features were removed).
 // v4: plans list their parked (job, task) pairs instead of counting them.
-constexpr std::uint8_t kFormatVersion = 4;
+// v5: invocation outcomes lose kCpRetry (the retry rungs were removed),
+//     which shifts every later outcome value down by one.
+constexpr std::uint8_t kFormatVersion = 5;
 
 void check_version(io::Decoder& dec, const char* what) {
   const std::uint8_t version = dec.u8();

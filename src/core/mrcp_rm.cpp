@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/log.h"
 #include "common/stopwatch.h"
@@ -192,8 +190,7 @@ void MrcpRm::sweep_completed(Time now) {
   }
 }
 
-std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
-                                               bool freeze_all_planned) {
+std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now) {
   std::vector<LiveJob> live;
   live.reserve(active_.size());
   for (const auto& [id, st] : active_) {
@@ -204,8 +201,8 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
     // resource; anything else means the dirty-set bookkeeping missed an
     // event, so the job is promoted to dirty (counted — the audit tests
     // assert this safety net never fires).
-    bool job_freeze = freeze_all_planned || dirty_jobs_.count(id) == 0;
-    if (job_freeze && !freeze_all_planned) {
+    bool job_freeze = dirty_jobs_.count(id) == 0;
+    if (job_freeze) {
       for (std::size_t ti = 0; ti < st.job.num_tasks(); ++ti) {
         if (st.completed[ti]) continue;
         const Assignment& as = st.assignments[ti];
@@ -260,16 +257,10 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
         if (bit != burned.end()) lt.anti_affinity_exclude = bit->second;
       }
       const Assignment& as = st.assignments[ti];
-      // Freezing never pins a planned assignment onto a down resource:
-      // handle_resource_down resets those, so one surviving here would
-      // be a stale-plan resurrection — treat the task as free instead.
-      const bool frozen =
-          job_freeze && as.assigned() &&
-          down_[static_cast<std::size_t>(as.resource)] == 0;
-      if (as.assigned() && (as.start <= now || frozen)) {
+      if (as.assigned() && (as.start <= now || job_freeze)) {
         // Running: pinned (Table 2 lines 11-12). Planned-but-unstarted
-        // tasks of frozen jobs (the kDirtyOnly boundary, and every job in
-        // the degraded-mode retry rungs) are frozen in place too.
+        // tasks of a frozen job (the kDirtyOnly boundary, every one on an
+        // up resource by the check above) are frozen in place too.
         lt.started = true;
         lt.resource = as.resource;
         lt.start = as.start;
@@ -279,61 +270,15 @@ std::vector<LiveJob> MrcpRm::collect_live_jobs(Time now,
     MRCP_CHECK(!lj.tasks.empty());  // fully-completed jobs were swept
     // Workflow precedences: edges whose predecessor (or successor)
     // completed are already satisfied (the executed end lies in the
-    // past); only live-live edges constrain the new plan.
+    // past); only live-live edges constrain the new plan. No frozen task
+    // can wait on a free predecessor: a frozen job has *every* live task
+    // marked started, and a dirty job has no frozen tasks at all.
     for (const auto& [before, after] : st.job.precedences) {
       if (st.completed[static_cast<std::size_t>(before)] ||
           st.completed[static_cast<std::size_t>(after)]) {
         continue;
       }
       lj.precedences.emplace_back(before, after);
-    }
-    // Per-job freezing never needs the demotion fixpoint: a frozen
-    // (clean) job has *every* live task marked started, so no frozen task
-    // can have a free predecessor, and a dirty job has no frozen tasks at
-    // all. The fixpoint below serves the whole-model freeze of the
-    // degraded-mode retry rungs.
-    if (freeze_all_planned) {
-      // A frozen assignment is only sound while every predecessor of the
-      // task is still accounted for. When a failure resets a map (or a
-      // workflow predecessor) to free, the dependent's old start time
-      // assumed a completion that no longer exists — keeping it pinned
-      // would let the plan run a reduce before its maps. Demote such
-      // dependents back to free, to fixpoint (demotions cascade along
-      // precedence chains). Tasks that actually started are never
-      // demoted: a started task's predecessors all completed, and
-      // completed tasks are never reset.
-      std::map<int, std::size_t> by_flat;
-      for (std::size_t i = 0; i < lj.tasks.size(); ++i) {
-        by_flat.emplace(lj.tasks[i].task_index, i);
-      }
-      auto really_started = [&](const LiveTask& lt) {
-        return lt.started &&
-               st.assignments[static_cast<std::size_t>(lt.task_index)].start <=
-                   now;
-      };
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        bool any_free_map = false;
-        for (const LiveTask& lt : lj.tasks) {
-          any_free_map |= lt.type == TaskType::kMap && !lt.started;
-        }
-        for (LiveTask& lt : lj.tasks) {
-          if (!lt.started || really_started(lt)) continue;
-          bool free_pred = any_free_map && lt.type == TaskType::kReduce;
-          for (const auto& [before, after] : lj.precedences) {
-            if (after != lt.task_index) continue;
-            const auto bit = by_flat.find(before);
-            free_pred |= bit != by_flat.end() && !lj.tasks[bit->second].started;
-          }
-          if (free_pred) {
-            lt.started = false;
-            lt.resource = kNoResource;
-            lt.start = kNoTime;
-            changed = true;
-          }
-        }
-      }
     }
     live.push_back(std::move(lj));
   }
@@ -493,16 +438,6 @@ void MrcpRm::park_unplaceable(std::vector<LiveJob>& live, Time now) {
   }
 }
 
-void MrcpRm::strip_parked(std::vector<LiveJob>& live) const {
-  for (auto it = live.begin(); it != live.end();) {
-    if (parked_.count(it->id) == 0) {
-      ++it;
-      continue;
-    }
-    it = keep_started_tasks_only(*it) ? it + 1 : live.erase(it);
-  }
-}
-
 DegradationCounts MrcpRm::degradation_counts() const {
   DegradationCounts counts = ledger_.counts();
   counts.jobs_backpressured = stats_.jobs_backpressured;
@@ -569,8 +504,7 @@ const Plan& MrcpRm::reschedule(Time now) {
   park_retry_at_ = kNoTime;
 
   Stopwatch stage;
-  std::vector<LiveJob> live =
-      collect_live_jobs(now, /*freeze_all_planned=*/false);
+  std::vector<LiveJob> live = collect_live_jobs(now);
   park_unplaceable(live, now);
   rec.collect_wall_seconds = stage.elapsed_seconds();
   rec.parked_jobs = parked_.size();
@@ -633,21 +567,15 @@ const Plan& MrcpRm::reschedule(Time now) {
     cp::SolveParams params = config_.solve;
     // Vary the LNS seed across invocations, deterministically.
     params.seed = config_.solve.seed + plan_.epoch * 0x9E3779B9ULL;
-    // One absolute watchdog bounds the whole invocation; each attempt
-    // additionally gets 64x its own soft budget. The margins are wide on
+    // The hard watchdog gets 64x the soft budget. The margin is wide on
     // purpose: a first descent legitimately overshoots the soft budget
     // (nothing interrupts a descent that has no solution yet), and the
     // watchdog must only catch runaways — with default budgets no search
-    // ever aborts, even on a loaded machine, and the solve is bit-for-bit
-    // the pre-degradation one. Shrinking the budget shrinks the watchdog
-    // proportionally, which is how near-zero budgets force degradation.
-    const double invocation_budget_s =
-        config_.solver_deadline_s > 0.0 ? config_.solver_deadline_s
-                                        : config_.solve.time_limit_s * 256.0;
-    Deadline invocation_deadline(invocation_budget_s);
-    Deadline primary_deadline(std::min(
-        invocation_deadline.remaining_seconds(), params.time_limit_s * 64.0));
-    params.hard_deadline = &primary_deadline;
+    // ever aborts, even on a loaded machine. Shrinking the budget shrinks
+    // the watchdog proportionally, which is how near-zero budgets force
+    // the fallback.
+    const Deadline deadline(params.time_limit_s * 64.0);
+    params.hard_deadline = &deadline;
 
     auto account = [&](const cp::SolveResult& r) {
       ++stats_.solve_attempts;
@@ -667,139 +595,70 @@ const Plan& MrcpRm::reschedule(Time now) {
     account(result);
 
     cp::Solution chosen;
-    const BuiltModel* solved = &built;
-    BuiltModel shrunk_built;  // owns the frozen model when a retry rung wins
-
     if (result.best.valid) {
       outcome = InvocationOutcome::kCpPrimary;
       chosen = std::move(result.best);
     } else {
-      // Escalation ladder (docs/degraded_mode.md): the hard watchdog cut
-      // every descent short. Shrink the model by freezing all planned
-      // assignments in place (LNS-style neighbourhood fixing), double
-      // the soft budget per rung, seed each rung with the EDF fallback's
-      // schedule for that model, and finally publish the fallback plan
-      // outright.
-      MRCP_CHECK_MSG(config_.fallback_enabled, "solver returned no solution");
-      cp::Solution parachute;  // EDF seed returned by an aborted retry
-      BuiltModel parachute_built;
-      for (int retry = 1;
-           retry <= config_.max_solve_retries && !invocation_deadline.expired();
-           ++retry) {
-        // The combined-resource abstraction is unsound with frozen
-        // fragments (see the frozen-boundary comment above), so retries
-        // always solve the direct model.
-        stage.reset();
-        std::vector<LiveJob> frozen = collect_live_jobs(now, true);
-        strip_parked(frozen);
-        rec.collect_wall_seconds += stage.elapsed_seconds();
-        if (frozen.empty()) break;
-        stage.reset();
-        BuiltModel shrunk = build_direct_model(cluster_, frozen);
-        const std::string frozen_err = shrunk.model.validate();
-        MRCP_CHECK_MSG(frozen_err.empty(), frozen_err.c_str());
-        rec.build_wall_seconds += stage.elapsed_seconds();
-
-        cp::SolveParams retry_params = params;
-        // ldexp, not (1 << retry): a configured max_solve_retries >= 31
-        // would make the int shift UB. The exponent is additionally
-        // capped — doublings beyond 2^40 are already far past any
-        // invocation watchdog, so the budget simply saturates there.
-        retry_params.time_limit_s =
-            std::ldexp(config_.solve.time_limit_s, std::min(retry, 40));
-        retry_params.improvement_fails = 0;  // descent-only: cheapest
-        retry_params.lns_iterations = 0;     // complete schedule wins
-        Deadline retry_deadline(
-            std::min(invocation_deadline.remaining_seconds(),
-                     retry_params.time_limit_s * 64.0));
-        retry_params.hard_deadline = &retry_deadline;
-
-        const cp::Solution seed = fallback_schedule(shrunk.model);
-        cp::SolveResult rr = cp::solve(shrunk.model, retry_params,
-                                       seed.valid ? &seed : nullptr);
-        account(rr);
-        if (rr.best.valid && rr.stats.solutions > 0) {
-          // The rung completed a descent of its own (at worst tying the
-          // EDF incumbent, never worse — warm starts only prune).
-          outcome = InvocationOutcome::kCpRetry;
-          chosen = std::move(rr.best);
-          shrunk_built = std::move(shrunk);
-          solved = &shrunk_built;
-          break;
-        }
-        if (rr.best.valid && !parachute.valid) {
-          // Aborted again: rr.best is exactly the EDF seed. Keep it as a
-          // minimal-churn fallback plan while the budget escalates.
-          parachute = std::move(rr.best);
-          parachute_built = std::move(shrunk);
-        }
+      // The hard watchdog cut every descent short: publish the EDF
+      // fallback's plan for the same model (docs/degraded_mode.md) —
+      // deterministic, never times out.
+      outcome = InvocationOutcome::kFallback;
+      ++stats_.fallback_plans;
+      chosen = fallback_schedule(built.model);
+      if (!chosen.valid && built.model.num_affinity_groups() > 0) {
+        // The greedy EDF pass can paint itself into a corner under
+        // anti-affinity (it never backtracks a group member off a
+        // contended host). A first-solution CP search without a hard
+        // deadline is complete — the soft budget never interrupts a
+        // descent that has no solution yet — so it settles feasibility
+        // outright.
+        cp::SolveParams complete = params;
+        complete.improvement_fails = 0;
+        complete.lns_iterations = 0;
+        complete.portfolio = {cp::JobOrdering::kEdf};
+        complete.hard_deadline = nullptr;
+        cp::SolveResult cr = cp::solve(built.model, complete);
+        account(cr);
+        chosen = std::move(cr.best);
       }
-      if (!chosen.valid) {
-        outcome = InvocationOutcome::kFallback;
-        ++stats_.fallback_plans;
-        if (parachute.valid) {
-          // Frozen-model EDF plan: respects every previous placement.
-          chosen = std::move(parachute);
-          shrunk_built = std::move(parachute_built);
-          solved = &shrunk_built;
-        } else {
-          // Full-model EDF plan — deterministic, never times out.
-          chosen = fallback_schedule(built.model);
-          if (!chosen.valid && built.model.num_affinity_groups() > 0) {
-            // The greedy EDF pass can paint itself into a corner under
-            // anti-affinity (it never backtracks a group member off a
-            // contended host). A first-solution CP search without a hard
-            // deadline is complete — the soft budget never interrupts a
-            // descent that has no solution yet — so it settles
-            // feasibility outright.
-            cp::SolveParams complete = params;
-            complete.improvement_fails = 0;
-            complete.lns_iterations = 0;
-            complete.portfolio = {cp::JobOrdering::kEdf};
-            complete.hard_deadline = nullptr;
-            cp::SolveResult cr = cp::solve(built.model, complete);
-            account(cr);
-            chosen = std::move(cr.best);
-          }
-          MRCP_CHECK_MSG(chosen.valid,
-                         "fallback scheduler failed on a validated model");
-        }
-      }
+      MRCP_CHECK_MSG(chosen.valid,
+                     "fallback scheduler failed on a validated model");
     }
 
-    const BuiltModel& bm = *solved;
     // Audit builds always validate (MRCP_AUDIT_ENABLED is a compile-time
     // constant, so the check folds away in default builds), and small
     // models additionally face the brute-force constraint oracle —
     // fallback-produced plans included.
     if (config_.validate_plans || MRCP_AUDIT_ENABLED) {
-      const std::string err = validate_solution(bm.model, chosen);
+      const std::string err = validate_solution(built.model, chosen);
       MRCP_CHECK_MSG(err.empty(), err.c_str());
     }
     MRCP_AUDIT_ONLY({
-      if (bm.model.num_tasks() <= cp::audit::kAuditModelSizeLimit) {
-        MRCP_AUDIT_CHECK(cp::audit::brute_force_check_solution(bm.model, chosen));
+      if (built.model.num_tasks() <= cp::audit::kAuditModelSizeLimit) {
+        MRCP_AUDIT_CHECK(
+            cp::audit::brute_force_check_solution(built.model, chosen));
       }
     })
 
     // Map CP placements back onto cluster resources.
     stage.reset();
-    std::vector<ResourceId> resources(bm.task_refs.size(), kNoResource);
-    if (bm.combined) {
-      std::vector<MatchItem> items(bm.task_refs.size());
-      for (std::size_t i = 0; i < bm.task_refs.size(); ++i) {
-        const cp::CpTask& ct = bm.model.task(static_cast<cp::CpTaskIndex>(i));
+    std::vector<ResourceId> resources(built.task_refs.size(), kNoResource);
+    if (built.combined) {
+      std::vector<MatchItem> items(built.task_refs.size());
+      for (std::size_t i = 0; i < built.task_refs.size(); ++i) {
+        const cp::CpTask& ct =
+            built.model.task(static_cast<cp::CpTaskIndex>(i));
         const auto& placement = chosen.placements[i];
         MatchItem& item = items[i];
         item.type = ct.phase == cp::Phase::kMap ? TaskType::kMap
                                                 : TaskType::kReduce;
         item.start = placement.start;
         item.end = placement.start +
-                   bm.model.duration_on(static_cast<cp::CpTaskIndex>(i),
-                                        placement.resource);
+                   built.model.duration_on(static_cast<cp::CpTaskIndex>(i),
+                                           placement.resource);
         item.pinned = ct.pinned;
         if (ct.pinned) {
-          const auto& [job_id, task_index] = bm.task_refs[i];
+          const auto& [job_id, task_index] = built.task_refs[i];
           item.pinned_resource =
               active_.at(job_id)
                   .assignments[static_cast<std::size_t>(task_index)]
@@ -808,7 +667,7 @@ const Plan& MrcpRm::reschedule(Time now) {
       }
       resources = matchmake(cluster_, items);
     } else {
-      for (std::size_t i = 0; i < bm.task_refs.size(); ++i) {
+      for (std::size_t i = 0; i < built.task_refs.size(); ++i) {
         resources[i] = static_cast<ResourceId>(chosen.placements[i].resource);
       }
     }
@@ -817,16 +676,17 @@ const Plan& MrcpRm::reschedule(Time now) {
     // combined mode the single CP resource carries the cluster's uniform
     // speed, so placements[i].resource is the right scaling source in
     // both modes (matchmade hosts all run at that same speed).
-    for (std::size_t i = 0; i < bm.task_refs.size(); ++i) {
-      const auto& [job_id, task_index] = bm.task_refs[i];
+    for (std::size_t i = 0; i < built.task_refs.size(); ++i) {
+      const auto& [job_id, task_index] = built.task_refs[i];
       Assignment& as =
           active_.at(job_id).assignments[static_cast<std::size_t>(task_index)];
       as.resource = resources[i];
       as.start = chosen.placements[i].start;
-      as.end = as.start + bm.model.duration_on(static_cast<cp::CpTaskIndex>(i),
-                                               chosen.placements[i].resource);
+      as.end = as.start +
+               built.model.duration_on(static_cast<cp::CpTaskIndex>(i),
+                                       chosen.placements[i].resource);
     }
-    rec.live_tasks = bm.model.num_tasks();
+    rec.live_tasks = built.model.num_tasks();
     rec.matchmake_wall_seconds = stage.elapsed_seconds();
   }
 
@@ -836,8 +696,7 @@ const Plan& MrcpRm::reschedule(Time now) {
   dirty_jobs_.clear();
 
   rec.outcome = outcome;
-  const bool degraded = outcome == InvocationOutcome::kCpRetry ||
-                        outcome == InvocationOutcome::kFallback ||
+  const bool degraded = outcome == InvocationOutcome::kFallback ||
                         outcome == InvocationOutcome::kParked ||
                         !parked_.empty();
   degraded_streak_ = degraded ? degraded_streak_ + 1 : 0;

@@ -15,7 +15,9 @@
 //      the unstarted tasks of untouched jobs frozen in place);
 //   4. solves it (combined-resource + matchmaking when the §V.D
 //      separation optimization is on and no unstarted task is frozen,
-//      direct model otherwise);
+//      direct model otherwise); a solve whose hard watchdog expires
+//      before any schedule exists is replaced by the EDF fallback's plan
+//      for the same model (docs/degraded_mode.md);
 //   5. publishes a new Plan carrying every live task's assignment.
 //
 // §V.E deferral: jobs whose s_j lies more than `deferral_window` in the
@@ -58,8 +60,7 @@ enum class ReplanScope {
   /// set of jobs touched since the last solve — arrivals, deferral and
   /// backpressure releases, fault-reset assignments, parked work — and
   /// re-solves only those against a frozen boundary of untouched
-  /// assignments (the frozen-model machinery of the degradation ladder
-  /// promoted to the primary path).
+  /// assignments.
   kDirtyOnly,
 };
 
@@ -83,22 +84,10 @@ struct MrcpConfig {
   bool validate_plans = false;
 
   // ---- Graceful degradation (docs/degraded_mode.md) ----
+  // A CP solve gets a hard watchdog of 64x solve.time_limit_s; when it
+  // expires before any descent completes, the invocation publishes the
+  // deterministic EDF fallback scheduler's plan instead.
 
-  /// When the CP solve returns no schedule (hard watchdog expired before
-  /// any descent completed), escalate: shrink+backoff retries, then the
-  /// deterministic EDF fallback scheduler. Off restores the fatal
-  /// pre-degradation behaviour (abort on an empty solve) — tests only.
-  bool fallback_enabled = true;
-  /// Shrunk-model retries before falling back: each freezes every
-  /// planned assignment in place (LNS-style neighbourhood fixing),
-  /// doubles the soft budget, and is seeded with the EDF fallback's
-  /// incumbent. 0 = straight to the fallback.
-  int max_solve_retries = 2;
-  /// Absolute wall-clock watchdog for a whole reschedule() invocation,
-  /// shared by every attempt. 0 = auto: 256x solve.time_limit_s — far
-  /// above any descent that fits the soft budget, so default-budget runs
-  /// never hit it and stay byte-identical to the pre-degradation code.
-  double solver_deadline_s = 0.0;
   /// Backpressure: while invocations run degraded, newly submitted jobs
   /// are held in the deferral queue (hold scales with the degraded
   /// streak) so a burst amortizes into one recovery solve instead of
@@ -126,7 +115,7 @@ struct MrcpStats {
   std::uint64_t resource_up_events = 0;
   /// Assignments reset by handle_resource_down (killed + unstarted).
   std::uint64_t tasks_reset_by_failure = 0;
-  std::uint64_t solve_attempts = 0;      ///< cp::solve calls (all rungs)
+  std::uint64_t solve_attempts = 0;      ///< cp::solve calls
   std::uint64_t fallback_plans = 0;      ///< invocations resolved by the EDF fallback
   std::uint64_t jobs_backpressured = 0;  ///< submissions deferred by backpressure
   std::uint64_t jobs_parked = 0;         ///< job-epochs parked as unplaceable
@@ -255,11 +244,8 @@ class MrcpRm {
   /// be frozen soundly — an unstarted task with no assignment, or one
   /// stranded on a down resource — is promoted into dirty_jobs_ (and
   /// counted in stats_.dirty_promotions: the promotion is a safety net,
-  /// correct bookkeeping never needs it). `freeze_all_planned` instead
-  /// pins every planned assignment of every job — the shrunk model of the
-  /// degraded-mode retry rungs — and demotes to fixpoint the frozen tasks
-  /// whose predecessors a failure reset to free.
-  std::vector<LiveJob> collect_live_jobs(Time now, bool freeze_all_planned);
+  /// correct bookkeeping never needs it).
+  std::vector<LiveJob> collect_live_jobs(Time now);
   /// Park jobs with a free task no *current* (post-failure) resource can
   /// host: their unstarted assignments are released and only their
   /// started tasks stay in `live` (they occupy real capacity). A task
@@ -270,10 +256,6 @@ class MrcpRm {
   /// a failed append — I/O error or resume-verification divergence — is
   /// fatal, which is what the crash-injection harness leans on.
   void journal_append(const std::string& payload);
-  /// Drop the unstarted tasks of already-parked jobs from a re-collected
-  /// live set (retry rungs re-collect; parking must not be re-decided
-  /// mid-invocation).
-  void strip_parked(std::vector<LiveJob>& live) const;
   void publish_plan(Time now);
 
   Cluster cluster_;            ///< working capacities (failed => zeroed)

@@ -718,8 +718,8 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
 
   while (!done) {
     // Hard watchdog: unlike the soft budget this aborts even before a
-    // first solution exists (the RM's degraded-mode ladder recovers via
-    // the EDF fallback scheduler). Checked every 8 decisions so the
+    // first solution exists (the RM then publishes the EDF fallback
+    // scheduler's plan). Checked every 8 decisions so the
     // healthy path pays one null test per iteration.
     if (limits.hard_deadline != nullptr && (st.decisions & 0x7) == 0 &&
         limits.hard_deadline->expired()) {

@@ -80,8 +80,7 @@ const char* solve_status_name(SolveStatus status) {
   return "unknown";
 }
 
-SolveResult solve(const Model& model, const SolveParams& params,
-                  const Solution* warm_start) {
+SolveResult solve(const Model& model, const SolveParams& params) {
   MRCP_CHECK_MSG(model.validate().empty(), "invalid model passed to solve()");
   MRCP_CHECK_MSG(params.num_threads == 1,
                  "SolveParams::num_threads must be 1: solve() runs every "
@@ -91,7 +90,6 @@ SolveResult solve(const Model& model, const SolveParams& params,
   SolveStats& stats = result.stats;
 
   Solution best;
-  if (warm_start && warm_start->valid) best = *warm_start;
 
   auto remaining = [&]() {
     double r = params.time_limit_s - timer.elapsed_seconds();
@@ -178,25 +176,23 @@ SolveResult solve(const Model& model, const SolveParams& params,
   };
 
   // Members run in order. The fold keeps a member only with strictly
-  // fewer late jobs than the warm start and every earlier member, keyed
-  // on the primary objective alone: the completion-time tie-break would
-  // otherwise always pick all-LPT by an epsilon, re-synchronizing task
-  // endings and hurting future arrivals the current model cannot see.
-  // That running minimum is also each descent's cutoff. Three rules skip
-  // a member:
+  // fewer late jobs than every earlier member, keyed on the primary
+  // objective alone: the completion-time tie-break would otherwise
+  // always pick all-LPT by an epsilon, re-synchronizing task endings and
+  // hurting future arrivals the current model cannot see.
+  // That running minimum is also each descent's cutoff. Two rules cut
+  // the portfolio short:
   //  * root-bound stop: the statically-late jobs are late in every leaf,
   //    so no solution has fewer than root.late_count() late jobs, and once
-  //    the warm start or a member reaches that count no later member can
-  //    win the fold;
+  //    a member reaches that count no later member can win the fold;
   //  * repeat: a descent is a function of its key alone, so a member whose
-  //    key equals an earlier member's could only tie it;
-  //  * exhausted budget, once the warm start guarantees a schedule.
+  //    key equals an earlier member's could only tie it.
   const int lower_bound = root.late_count();
   auto at_bound = [&](const Solution& sol) {
     return sol.valid && sol.num_late <= lower_bound;
   };
-  int fold_late = best.valid ? best.num_late : std::numeric_limits<int>::max();
-  for (std::size_t i = 0; i < members.size() && !at_bound(best); ++i) {
+  int fold_late = std::numeric_limits<int>::max();
+  for (std::size_t i = 0; i < members.size(); ++i) {
     Member& m = members[i];
     build_member(m);
     bool repeat = false;
@@ -207,7 +203,6 @@ SolveResult solve(const Model& model, const SolveParams& params,
       ++stats.repeat_descents_skipped;
       continue;
     }
-    if (remaining() <= 0.0 && best.valid) continue;
     SetTimesSearch& s = search();
     s.reset(m.ranks, m.lpt);
     SearchStats st;
@@ -222,11 +217,10 @@ SolveResult solve(const Model& model, const SolveParams& params,
     if (at_bound(m.sol)) break;
   }
   // Fold audit: every member that ran produced a constraint-satisfying
-  // solution, and the fold landed on the best late count among the warm
-  // start and the members.
+  // solution, and the fold landed on the best late count among the
+  // members.
   MRCP_AUDIT_ONLY({
-    int expected_late = best.valid ? best.num_late
-                                   : std::numeric_limits<int>::max();
+    int expected_late = std::numeric_limits<int>::max();
     for (const Member& m : members) {
       if (!m.ran || !m.sol.valid) continue;
       MRCP_AUDIT_CHECK(validate_solution(model, m.sol));
@@ -359,8 +353,9 @@ SolveResult solve(const Model& model, const SolveParams& params,
         stats.proved_optimal ? SolveStatus::kOptimal : SolveStatus::kFeasible;
   } else {
     // No solution at all: either the hard deadline cut every descent
-    // short (recoverable — the caller escalates per the degraded-mode
-    // ladder) or the searches genuinely exhausted an empty space.
+    // short (recoverable — the RM falls back to the EDF scheduler, see
+    // docs/degraded_mode.md) or the searches genuinely exhausted an
+    // empty space.
     result.status = stats.aborted ? SolveStatus::kBudgetExhausted
                                   : SolveStatus::kInfeasible;
   }

@@ -26,8 +26,8 @@
 // better_than the LNS-start incumbent — see docs/cp_engine.md.
 //
 // The solve is sequential: each descent runs in the calling thread with
-// a cutoff equal to the best late count known before it (the warm start
-// and earlier members, or the incumbent for an LNS neighbourhood), and
+// a cutoff equal to the best late count known before it (earlier
+// members, or the incumbent for an LNS neighbourhood), and
 // aborts once it is certain to be strictly worse. For a fixed seed the
 // result is a function of the model and the parameters, as long as the
 // wall-clock budget does not bind — see docs/cp_engine.md.
@@ -96,15 +96,14 @@ struct SolveStats {
   /// members repeat an earlier member's key (only distinct keys run).
   int portfolio_members_run = 0;
   /// Index of the member the portfolio fold chose (ordering-major, then
-  /// adaptive / FIFO / LPT), or -1 when the warm start stayed the
-  /// incumbent or phase 1 ran no member. Later B&B/LNS improvements do
-  /// not change it.
+  /// adaptive / FIFO / LPT), or -1 when no member returned a solution.
+  /// Later B&B/LNS improvements do not change it.
   int winning_member = -1;
   /// Descents not run because the solve had already taken their key:
   /// repeated portfolio members reached before the portfolio stopped,
   /// plus skipped LNS neighbourhoods.
   std::int64_t repeat_descents_skipped = 0;
-  /// The portfolio incumbent (warm start or a member) reached
+  /// The portfolio incumbent reached
   /// SearchRoot::late_count(), the root lower bound on late jobs.
   bool portfolio_stopped_at_bound = false;
   bool proved_optimal = false;  ///< zero late jobs, or search exhausted
@@ -133,9 +132,7 @@ struct SolveResult {
 /// all-LPT, in that member order.
 std::vector<std::uint8_t> adaptive_lpt_flags(const Model& model);
 
-/// Solve the model. The model must pass Model::validate(). If
-/// `warm_start` is a valid solution for this model it seeds the bound.
-SolveResult solve(const Model& model, const SolveParams& params,
-                  const Solution* warm_start = nullptr);
+/// Solve the model. The model must pass Model::validate().
+SolveResult solve(const Model& model, const SolveParams& params);
 
 }  // namespace mrcp::cp

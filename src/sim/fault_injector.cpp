@@ -14,20 +14,29 @@ constexpr std::size_t kNoOpenInterval = static_cast<std::size_t>(-1);
 }  // namespace
 
 std::string FaultConfig::validate() const {
-  if (mtbf_s < 0.0) return "mtbf_s must be >= 0";
-  if (failures_enabled() && mttr_s <= 0.0) {
-    return "mttr_s must be > 0 when failures are enabled";
+  // Each check is written as !(ok) so that NaN, which fails every
+  // comparison, is rejected too; an infinite mean would give a zero
+  // exponential rate.
+  const auto finite_at_least = [](double v, double min) {
+    return std::isfinite(v) && v >= min;
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!finite_at_least(mtbf_s, 0.0)) return "mtbf_s must be finite and >= 0";
+  if (failures_enabled() && !positive(mttr_s)) {
+    return "mttr_s must be finite and > 0 when failures are enabled";
   }
-  if (straggler_prob < 0.0 || straggler_prob > 1.0) {
+  if (!(straggler_prob >= 0.0 && straggler_prob <= 1.0)) {
     return "straggler_prob must be in [0, 1]";
   }
-  if (straggler_prob > 0.0 && straggler_factor < 1.0) {
-    return "straggler_factor must be >= 1";
+  if (straggler_prob > 0.0 && !finite_at_least(straggler_factor, 1.0)) {
+    return "straggler_factor must be finite and >= 1";
   }
   if (max_concurrent_down < -1) return "max_concurrent_down must be >= -1";
-  if (rack_mtbf_s < 0.0) return "rack_mtbf_s must be >= 0";
-  if (rack_failures_enabled() && rack_mttr_s <= 0.0) {
-    return "rack_mttr_s must be > 0 when rack bursts are enabled";
+  if (!finite_at_least(rack_mtbf_s, 0.0)) {
+    return "rack_mtbf_s must be finite and >= 0";
+  }
+  if (rack_failures_enabled() && !positive(rack_mttr_s)) {
+    return "rack_mttr_s must be finite and > 0 when rack bursts are enabled";
   }
   return "";
 }

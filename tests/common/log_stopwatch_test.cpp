@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include "common/log.h"
@@ -53,6 +54,26 @@ TEST(Stopwatch, Monotonic) {
     const double now = sw.elapsed_seconds();
     EXPECT_GE(now, prev);
     prev = now;
+  }
+}
+
+TEST(Deadline, ExpiresAfterItsSpan) {
+  EXPECT_TRUE(Deadline(0.0).expired());
+  EXPECT_TRUE(Deadline(-1.0).expired());
+  const Deadline later(60.0);
+  EXPECT_FALSE(later.expired());
+  EXPECT_GT(later.remaining_seconds(), 50.0);
+}
+
+TEST(Deadline, HugeSpanNeverExpires) {
+  // 64 x a 1e12 s solver budget is 6.4e22 ns, far past the clock's int64
+  // range: converted as is it wrapped into the past and every solve under
+  // it aborted at once.
+  for (const double span : {Deadline::kNeverSeconds, 64e12, 1e300,
+                            std::numeric_limits<double>::infinity()}) {
+    const Deadline never(span);
+    EXPECT_FALSE(never.expired()) << span;
+    EXPECT_GT(never.remaining_seconds(), 1e9) << span;
   }
 }
 

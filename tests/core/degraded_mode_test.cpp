@@ -1,8 +1,8 @@
 // End-to-end tests of the graceful-degradation pipeline
-// (docs/degraded_mode.md): the solver watchdog and SolveStatus, the
-// escalation ladder and its ledger attribution, unplaceable-job parking,
-// arrival backpressure, and the frozen-assignment demotion that keeps
-// failure recovery sound in degraded epochs.
+// (docs/degraded_mode.md): the solver watchdog and SolveStatus, the EDF
+// fallback and its ledger attribution, unplaceable-job parking, arrival
+// backpressure, and failure recovery that stays sound in degraded
+// epochs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +12,11 @@
 
 #include "common/stopwatch.h"
 #include "core/degradation.h"
-#include "core/fallback_scheduler.h"
 #include "core/mrcp_rm.h"
 #include "cp/solver.h"
+#include "mapreduce/synthetic_workload.h"
 #include "sim/cluster_sim.h"
+#include "sim/trace_export.h"
 
 #include "../test_util.h"
 
@@ -85,40 +86,10 @@ TEST(SolveStatus, ExpiredWatchdogYieldsBudgetExhaustedNoSolution) {
   EXPECT_EQ(r.stats.solutions, 0);
 }
 
-TEST(SolveStatus, SeededSolveUnderExpiredWatchdogReturnsSeedAsFeasible) {
-  // The parachute semantics of the retry rungs: an aborted-but-seeded
-  // solve hands the warm start back (valid, kFeasible) and reports zero
-  // solutions of its own — which is how the ladder tells a genuine
-  // retry success from an echo of the EDF incumbent. The deadlines are
-  // deliberately unmeetable (2400 ticks of map work on 4 slots): a seed
-  // with zero late jobs would be proved optimal by bound, and rightly
-  // reported as kOptimal even when the search itself never ran.
-  cp::Model m;
-  m.add_resource(4, 4);
-  for (int j = 0; j < 6; ++j) {
-    const cp::CpJobIndex cj = m.add_job(Time{0}, Time{150 + 10 * j}, j);
-    for (int t = 0; t < 8; ++t) m.add_task(cj, cp::Phase::kMap, Time{50});
-    for (int t = 0; t < 2; ++t) m.add_task(cj, cp::Phase::kReduce, Time{30});
-  }
-  const cp::Solution seed = fallback_schedule(m);
-  ASSERT_TRUE(seed.valid);
-  ASSERT_GT(seed.num_late, 0);  // premise: the seed is not optimal-by-bound
-  cp::SolveParams params;
-  params.time_limit_s = 1e-9;
-  const Deadline deadline(0.0);
-  params.hard_deadline = &deadline;
-  const cp::SolveResult r = cp::solve(m, params, &seed);
-  ASSERT_TRUE(r.best.valid);
-  EXPECT_EQ(r.status, cp::SolveStatus::kFeasible);
-  EXPECT_EQ(r.stats.solutions, 0);
-  EXPECT_EQ(r.best.num_late, seed.num_late);
-}
-
-// ---- Escalation ladder + ledger attribution ----
+// ---- Fallback + ledger attribution ----
 
 TEST(DegradedMode, TinyBudgetFallsBackAndLedgerAttributes) {
   MrcpConfig cfg = degraded_config();
-  cfg.max_solve_retries = 0;  // primary -> fallback directly
   cfg.backpressure_hold = Time{1'000};
   MrcpRm rm(Cluster::homogeneous(2, 2, 2), cfg);
 
@@ -166,33 +137,6 @@ TEST(DegradedMode, TinyBudgetFallsBackAndLedgerAttributes) {
   EXPECT_EQ(rm.stats().jobs_completed, 3u);
 }
 
-TEST(DegradedMode, RetryRungsAreAttemptedBeforeFallback) {
-  MrcpConfig cfg = degraded_config();
-  cfg.max_solve_retries = 2;
-  MrcpRm rm(Cluster::homogeneous(2, 2, 2), cfg);
-  std::vector<Time> maps(10, Time{50});
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{2'000}, maps, {Time{30}, Time{30}}), Time{0});
-  rm.reschedule(Time{0});
-  ASSERT_EQ(rm.ledger().records().size(), 1u);
-  const InvocationRecord& rec = rm.ledger().records()[0];
-  // Degraded either way; if the invocation deadline had room for rungs,
-  // they were counted as attempts on top of the primary solve.
-  EXPECT_TRUE(rec.outcome == InvocationOutcome::kFallback ||
-              rec.outcome == InvocationOutcome::kCpRetry);
-  EXPECT_GE(rec.attempts, 1);
-  EXPECT_LE(rec.attempts, 1 + cfg.max_solve_retries);
-  EXPECT_EQ(rm.stats().solve_attempts, static_cast<std::uint64_t>(rec.attempts));
-}
-
-TEST(DegradedModeDeathTest, FallbackDisabledRestoresFatalBehaviour) {
-  MrcpConfig cfg = degraded_config();
-  cfg.fallback_enabled = false;
-  MrcpRm rm(Cluster::homogeneous(2, 2, 2), cfg);
-  std::vector<Time> maps(10, Time{50});
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{2'000}, maps, {Time{30}, Time{30}}), Time{0});
-  EXPECT_DEATH(rm.reschedule(Time{0}), "solver returned no solution");
-}
-
 // ---- Burst workload through the full simulator ----
 
 TEST(DegradedMode, BurstWorkloadWithTinyBudgetSimulatesToCompletion) {
@@ -222,6 +166,43 @@ TEST(DegradedMode, BurstWorkloadWithTinyBudgetSimulatesToCompletion) {
   EXPECT_GT(d.degraded(), 0u);
   EXPECT_EQ(d.invocations(), metrics.rm_invocations);
   EXPECT_GT(d.jobs_backpressured, 0u);
+}
+
+TEST(DegradedMode, ZeroBudgetFaultRunsAreRepeatable) {
+  // At budget 0 the hard watchdog expires before the first decision, so
+  // every invocation's plan comes from pinned-only solves and the
+  // deterministic EDF fallback: no wall-clock reading can change a plan,
+  // and two runs must execute the same schedule. Heterogeneous speeds,
+  // placement constraints, machine failures and rack bursts make the
+  // fallback plan around frozen, pinned and parked work.
+  SyntheticWorkloadConfig gen;
+  gen.num_jobs = 60;
+  gen.arrival_rate = 0.02;
+  gen.speed_choices = {500, 1000, 2000};
+  gen.num_racks = 5;
+  gen.locality_prob = 0.3;
+  gen.affinity_prob = 0.2;
+  gen.seed = 1;
+  const Workload w = generate_synthetic_workload(gen);
+  sim::SimOptions options;
+  options.faults.mtbf_s = 5000.0;
+  options.faults.rack_mtbf_s = 20000.0;
+  for (const ReplanScope scope :
+       {ReplanScope::kAllUnstarted, ReplanScope::kDirtyOnly}) {
+    MrcpConfig cfg;
+    cfg.solve.time_limit_s = 0.0;
+    cfg.replan_scope = scope;
+    const sim::SimMetrics first = sim::simulate_mrcp(w, cfg, options);
+    const sim::SimMetrics second = sim::simulate_mrcp(w, cfg, options);
+    const bool incremental = scope == ReplanScope::kDirtyOnly;
+    EXPECT_GT(first.degradation.fallback, 0u) << "incremental " << incremental;
+    EXPECT_GT(first.failure.resource_failures, 0u)
+        << "incremental " << incremental;
+    EXPECT_EQ(sim::execution_to_csv(first.executed, w),
+              sim::execution_to_csv(second.executed, w))
+        << "incremental " << incremental;
+    EXPECT_EQ(first.degradation.fallback, second.degradation.fallback);
+  }
 }
 
 // ---- Parking when no resource can host the work ----
@@ -278,18 +259,13 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
 TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
   // r0 is map-only, so the reduce always lands on r1 and survives the
   // r0 failure with its (now stale) planned start. After the primary
-  // solve aborts, the retry rungs re-collect the live set with every
-  // planned assignment frozen: that collection must demote the reduce
-  // back to free rather than pin a reduce that would start before the
-  // killed map's re-run completes.
+  // solve aborts, the fallback plans the full model: the reduce is free
+  // again and must not start before the killed map's re-run completes.
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);
   MrcpConfig cfg = degraded_config();  // validate_plans aborts on a
                                        // precedence-violating plan
-  // Every solve's own watchdog still expires at once, but the invocation
-  // watchdog is wide, so each invocation runs all its retry rungs.
-  cfg.solver_deadline_s = 60.0;
   MrcpRm rm(c, cfg);
 
   // Deadline forces the two maps in parallel across r0/r1.
@@ -303,8 +279,7 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
 
   rm.handle_resource_down(0, Time{50});
   const Plan& p2 = rm.reschedule(Time{50});
-  // At least one retry rung ran, so the plan below is the frozen model's.
-  EXPECT_GE(rm.ledger().records().back().attempts, 2);
+  EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kFallback);
   Time latest_map_end;
   const PlannedTask* reduce = nullptr;
   for (const PlannedTask& pt : p2.tasks) {
@@ -324,10 +299,10 @@ TEST(DegradedMode, FailureDemotesFrozenReduceWhoseMapWasKilled) {
 
 TEST(DegradedMode, MidEpochFailureDuringFallbackEpochStaysValid) {
   // Fallback-produced plan (tiny budget), then a failure mid-epoch: the
-  // recovery pass — retry rungs included, which freeze surviving
-  // assignments — must never resurrect assignments of the down resource
-  // or schedule a reduce before its maps. validate_plans makes any such
-  // violation fatal, so completing the run is the assertion.
+  // recovery pass — another fallback — must never resurrect assignments
+  // of the down resource or schedule a reduce before its maps.
+  // validate_plans makes any such violation fatal, so completing the run
+  // is the assertion.
   MrcpConfig cfg = degraded_config();
   MrcpRm rm(Cluster::homogeneous(2, 1, 1), cfg);
   std::vector<Time> maps(6, Time{100});
@@ -412,25 +387,6 @@ TEST(DegradedMode, ParkRetrySaturatesAtTheHorizon) {
   EXPECT_EQ(parked.parked.size(), 1u);
   EXPECT_EQ(rm.next_deferred_release(), kMaxTime);
   EXPECT_GT(rm.next_deferred_release(), Time{10});
-}
-
-TEST(DegradedMode, ExtremeRetryCountDoesNotOverflowTheBudget) {
-  // max_solve_retries = 64 would be UB with a naive `1 << retry` budget
-  // doubling; the ldexp fold (exponent capped at 40) must survive it.
-  // The UBSan CI job turns any reintroduced shift overflow fatal here.
-  MrcpConfig cfg = degraded_config();
-  cfg.max_solve_retries = 64;
-  MrcpRm rm(Cluster::homogeneous(2, 2, 2), cfg);
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{50'000}, {Time{100}, Time{100}},
-                     {Time{50}}),
-            Time{0});
-  const Plan& plan = rm.reschedule(Time{0});
-  EXPECT_FALSE(plan.tasks.empty());
-  const InvocationRecord& rec = rm.ledger().records().back();
-  EXPECT_NE(rec.outcome, InvocationOutcome::kCpPrimary);
-  EXPECT_GE(rec.attempts, 1);
-  rm.reschedule(Time{1'000'000});
-  EXPECT_EQ(rm.stats().jobs_completed, 1u);
 }
 
 }  // namespace

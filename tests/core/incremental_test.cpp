@@ -164,8 +164,7 @@ TEST(Incremental, FaultDirtiesAffectedJobsAndReplansThemSoundly) {
   // r0 is map-only, so job 0's reduce lands on r1 and survives the r0
   // failure with a stale planned start. In kDirtyOnly mode the fault
   // dirties the whole job, so the reduce is re-solved — it must wait for
-  // the killed map's re-run (the retry rungs' demotion fixpoint's job,
-  // handled here by per-job freezing).
+  // the killed map's re-run (per-job freezing never pins it).
   Cluster c;
   c.add_resource(1, 0);
   c.add_resource(1, 1);

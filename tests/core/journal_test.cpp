@@ -127,7 +127,8 @@ InvocationRecord rnd_invocation(Rng& rng) {
   rec.sim_time = rnd_ticks(rng);
   rec.attempts = rnd_i32(rng);
   rec.last_status = static_cast<cp::SolveStatus>(rng() % 4);
-  rec.outcome = static_cast<InvocationOutcome>(rng() % 6);
+  rec.outcome = static_cast<InvocationOutcome>(
+      rng() % (static_cast<unsigned>(InvocationOutcome::kIdle) + 1));
   rec.solve_wall_seconds = rnd_f64(rng);
   rec.live_tasks = static_cast<std::size_t>(rng() % 100000);
   rec.parked_jobs = static_cast<std::size_t>(rng() % 100000);

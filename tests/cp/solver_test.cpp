@@ -45,18 +45,6 @@ TEST(Solver, EmptyModelSolves) {
   EXPECT_EQ(result.best.num_late, 0);
 }
 
-TEST(Solver, WarmStartNeverRegresses) {
-  Model m;
-  m.add_resource(1, 1);
-  const CpJobIndex j0 = m.add_job(Time{0}, Time{200}, 0);
-  m.add_task(j0, Phase::kMap, Time{80});
-  const CpJobIndex j1 = m.add_job(Time{0}, Time{60}, 1);
-  m.add_task(j1, Phase::kMap, Time{50});
-  const SolveResult first = solve(m, fast_params());
-  const SolveResult second = solve(m, fast_params(), &first.best);
-  EXPECT_LE(second.best.num_late, first.best.num_late);
-}
-
 TEST(Solver, DeterministicForSeed) {
   Model m;
   m.add_resource(2, 2);
@@ -132,8 +120,7 @@ TEST(Solver, SolveSecondsPopulated) {
 }
 
 // Property sweep: random instances always yield valid solutions, and the
-// solver never does worse than the plain EDF first descent, cold or
-// warm-started from that descent.
+// solver never does worse than the plain EDF first descent.
 
 /// Random instance with a dense user-precedence DAG layered on top of
 /// the implicit map→reduce barrier: chains inside jobs plus cross-job
@@ -192,11 +179,6 @@ void expect_valid_and_no_worse_than_edf(const Model& m, std::uint64_t seed,
   ASSERT_TRUE(result.best.valid) << what;
   EXPECT_EQ(validate_solution(m, result.best), "") << what;
   EXPECT_LE(result.best.num_late, edf_sol.num_late) << what;
-
-  const SolveResult warm = solve(m, params, &edf_sol);
-  ASSERT_TRUE(warm.best.valid) << what;
-  EXPECT_EQ(validate_solution(m, warm.best), "") << what;
-  EXPECT_LE(warm.best.num_late, edf_sol.num_late) << what;
 }
 
 class SolverRandomProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -323,10 +305,8 @@ struct ReferenceSolve {
 /// solve() without its descent memo and without the root-bound stop:
 /// every portfolio member, the B&B run and every LNS neighbourhood run
 /// as independent searches, in the order solve() defines.
-ReferenceSolve reference_solve(const Model& m, const SolveParams& params,
-                               const Solution* warm) {
+ReferenceSolve reference_solve(const Model& m, const SolveParams& params) {
   ReferenceSolve ref;
-  if (warm != nullptr && warm->valid) ref.best = *warm;
   const std::vector<std::vector<std::uint8_t>> intra = {
       adaptive_lpt_flags(m), std::vector<std::uint8_t>(m.num_jobs(), 0),
       std::vector<std::uint8_t>(m.num_jobs(), 1)};
@@ -432,12 +412,10 @@ int first_at_bound_end(const ReferenceSolve& ref, int bound) {
   return static_cast<int>(ref.members.size());
 }
 
-/// Members solve() runs: none when the warm start is at the
-/// bound, else those up to and including the first member at the bound
-/// whose key no earlier member has (a repeated key is never run twice).
-int expected_members_run(const ReferenceSolve& ref, const Solution* warm,
-                         int bound) {
-  if (warm != nullptr && warm->valid && warm->num_late <= bound) return 0;
+/// Members solve() runs: those up to and including the first member at
+/// the bound whose key no earlier member has (a repeated key is never
+/// run twice).
+int expected_members_run(const ReferenceSolve& ref, int bound) {
   const auto end = static_cast<std::size_t>(first_at_bound_end(ref, bound));
   int run = 0;
   for (std::size_t i = 0; i < end; ++i) {
@@ -460,8 +438,6 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
   int stopped_early = 0;  // a non-last member reached the bound
   int later_member_first = 0;  // ... and it was not member 0
   int full_portfolio = 0;
-  int warm_at_bound = 0;
-  int warm_above_bound = 0;
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     const bool with_pin = seed % 2 == 0;
     const Model m = bound_model(seed, with_pin);
@@ -471,13 +447,13 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
     pinned += with_pin ? 1 : 0;
     const std::string what = "seed " + std::to_string(seed);
 
-    const ReferenceSolve ref = reference_solve(m, params, nullptr);
+    const ReferenceSolve ref = reference_solve(m, params);
     const SolveResult got = solve(m, params);
     expect_same_solution(ref.best, got.best, what);
     EXPECT_EQ(ref.ordering, got.stats.best_ordering) << what;
     EXPECT_EQ(ref.winning_member, got.stats.winning_member) << what;
     EXPECT_EQ(got.stats.portfolio_members_run,
-              expected_members_run(ref, nullptr, bound))
+              expected_members_run(ref, bound))
         << what;
     EXPECT_EQ(got.stats.portfolio_stopped_at_bound,
               ref.best.num_late <= bound)
@@ -490,35 +466,6 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
     } else {
       ++full_portfolio;
     }
-
-    // Warm starts: the reference winner (exactly at the bound when the
-    // portfolio reached it) and the worst member solution.
-    std::vector<Solution> warms = {ref.best};
-    const Solution& worst = *std::max_element(
-        ref.members.begin(), ref.members.end(),
-        [](const Solution& a, const Solution& b) {
-          return a.num_late < b.num_late;
-        });
-    if (worst.num_late > bound) warms.push_back(worst);
-    for (const Solution& warm : warms) {
-      ASSERT_TRUE(warm.valid) << what;
-      if (warm.num_late == bound) {
-        ++warm_at_bound;
-      } else {
-        ++warm_above_bound;
-      }
-      const ReferenceSolve warm_ref = reference_solve(m, params, &warm);
-      const SolveResult warm_got = solve(m, params, &warm);
-      const std::string warm_what =
-          what + " warm late " + std::to_string(warm.num_late);
-      expect_same_solution(warm_ref.best, warm_got.best, warm_what);
-      EXPECT_EQ(warm_ref.ordering, warm_got.stats.best_ordering) << warm_what;
-      EXPECT_EQ(warm_ref.winning_member, warm_got.stats.winning_member)
-          << warm_what;
-      EXPECT_EQ(warm_got.stats.portfolio_members_run,
-                expected_members_run(warm_ref, &warm, bound))
-          << warm_what;
-    }
   }
   // Every case the stop distinguishes must actually occur.
   EXPECT_GE(bound_positive, 100);
@@ -526,20 +473,17 @@ TEST(SolverRootBound, PortfolioMatchesFullReferenceFold) {
   EXPECT_GE(stopped_early, 100);
   EXPECT_GE(later_member_first, 10);
   EXPECT_GE(full_portfolio, 30);
-  EXPECT_GE(warm_at_bound, 100);
-  EXPECT_GE(warm_above_bound, 100);
 }
 
 TEST(SolverMemo, SolveEqualsUnmemoizedReference) {
   // solve() skips descents whose (ranks, lpt) key it already took; the
   // reference runs every one. Plans, winner and ordering must not move,
   // for small models (2-3 jobs, where LNS keeps redrawing the same key)
-  // and larger ones, with and without a warm start.
+  // and larger ones.
   int small_models = 0;
   int lns_improved = 0;
   int lns_repeats = 0;
   int unseeded_member = 0;  // a member better_than the LNS-start incumbent
-  int warm_runs = 0;
   for (std::uint64_t seed = 1; seed <= 900; ++seed) {
     const bool small = seed % 2 == 1;
     const Model m = bound_model(seed, seed % 4 == 0, small ? 3 : 7);
@@ -549,36 +493,22 @@ TEST(SolverMemo, SolveEqualsUnmemoizedReference) {
     params.time_limit_s = 60.0;  // must not bind
     params.seed = seed;
 
-    const ReferenceSolve ref = reference_solve(m, params, nullptr);
-    std::vector<const Solution*> warms = {nullptr};
-    const Solution& worst = *std::max_element(
-        ref.members.begin(), ref.members.end(),
-        [](const Solution& a, const Solution& b) {
-          return a.num_late < b.num_late;
-        });
-    if (worst.valid) warms.push_back(&worst);
-    for (const Solution* warm : warms) {
-      const std::string what = "seed " + std::to_string(seed) +
-                               (warm != nullptr ? " warm" : " cold");
-      const ReferenceSolve want =
-          warm != nullptr ? reference_solve(m, params, warm) : ref;
-      const SolveResult got = solve(m, params, warm);
-      expect_same_solution(want.best, got.best, what);
-      EXPECT_EQ(want.ordering, got.stats.best_ordering) << what;
-      EXPECT_EQ(want.winning_member, got.stats.winning_member) << what;
-      warm_runs += warm != nullptr ? 1 : 0;
-      lns_improved += got.stats.lns_improvements > 0 ? 1 : 0;
-      lns_repeats += got.stats.repeat_descents_skipped > 0 ? 1 : 0;
-      for (const Solution& member : want.members) {
-        if (member.better_than(want.lns_start) && want.lns_descents > 0) {
-          ++unseeded_member;
-          break;
-        }
+    const ReferenceSolve want = reference_solve(m, params);
+    const std::string what = "seed " + std::to_string(seed);
+    const SolveResult got = solve(m, params);
+    expect_same_solution(want.best, got.best, what);
+    EXPECT_EQ(want.ordering, got.stats.best_ordering) << what;
+    EXPECT_EQ(want.winning_member, got.stats.winning_member) << what;
+    lns_improved += got.stats.lns_improvements > 0 ? 1 : 0;
+    lns_repeats += got.stats.repeat_descents_skipped > 0 ? 1 : 0;
+    for (const Solution& member : want.members) {
+      if (member.better_than(want.lns_start) && want.lns_descents > 0) {
+        ++unseeded_member;
+        break;
       }
     }
   }
   EXPECT_GE(small_models, 450);
-  EXPECT_GE(warm_runs, 800);
   EXPECT_GE(lns_improved, 60);
   EXPECT_GE(lns_repeats, 300);
   EXPECT_GE(unseeded_member, 15);
@@ -620,12 +550,12 @@ TEST(SolverMemo, TwoJobLnsRunsOnlyDistinctKeys) {
 
     // Portfolio repeats reached before the root-bound stop; the rest of
     // the skipped descents are LNS draws.
-    const ReferenceSolve ref = reference_solve(m, params, nullptr);
+    const ReferenceSolve ref = reference_solve(m, params);
     const int bound = statically_late_jobs(m);
     const int reached = first_at_bound_end(ref, bound);
     past_member_0 += reached > 1 ? 1 : 0;
     const int portfolio_repeats =
-        reached - expected_members_run(ref, nullptr, bound);
+        reached - expected_members_run(ref, bound);
     EXPECT_EQ(ref.lns_descents, kDraws) << what;
     const std::int64_t lns_run =
         kDraws - (got.stats.repeat_descents_skipped - portfolio_repeats);

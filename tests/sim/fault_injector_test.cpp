@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "../test_util.h"
@@ -46,6 +47,36 @@ TEST(FaultConfig, Validation) {
 
   bad = FaultConfig{};
   bad.max_concurrent_down = -2;
+  EXPECT_NE(bad.validate(), "");
+}
+
+TEST(FaultConfig, RejectsNonFiniteValues) {
+  // NaN fails every comparison and an infinite mean gives a zero rate:
+  // neither may pass validation (the injector would abort, or stragglers
+  // would run with a NaN factor).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf}) {
+    FaultConfig bad = failing_config();
+    bad.mtbf_s = v;
+    EXPECT_NE(bad.validate(), "") << "mtbf " << v;
+    bad = failing_config();
+    bad.mttr_s = v;
+    EXPECT_NE(bad.validate(), "") << "mttr " << v;
+    bad = FaultConfig{};
+    bad.straggler_prob = 0.5;
+    bad.straggler_factor = v;
+    EXPECT_NE(bad.validate(), "") << "straggler factor " << v;
+    bad = FaultConfig{};
+    bad.rack_mtbf_s = v;
+    EXPECT_NE(bad.validate(), "") << "rack mtbf " << v;
+    bad = FaultConfig{};
+    bad.rack_mtbf_s = 100.0;
+    bad.rack_mttr_s = v;
+    EXPECT_NE(bad.validate(), "") << "rack mttr " << v;
+  }
+  FaultConfig bad = FaultConfig{};
+  bad.straggler_prob = nan;
   EXPECT_NE(bad.validate(), "");
 }
 

@@ -17,6 +17,7 @@
 //            --lambda 0.0003 --rm minedf
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -74,6 +75,8 @@ bool check_real(const Flags& flags, const char* name, const char* accepts,
 }
 
 bool is_probability(double v) { return v >= 0.0 && v <= 1.0; }
+bool is_finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
+bool is_finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 /// The generator knobs the generators would abort on, or (a negative
 /// --lambda) silently replace by the default.
@@ -97,6 +100,36 @@ bool check_generator_flags(const Flags& flags, bool synthetic) {
                     [](double v) { return v >= 1.0; }) &&
          check_real(flags, "locality-prob", "in [0, 1]", is_probability) &&
          check_real(flags, "affinity-prob", "in [0, 1]", is_probability);
+}
+
+/// The fault knobs FaultConfig::validate() rejects, and the solver
+/// budget (a negative or NaN budget would put every invocation on the
+/// fallback), each reported by flag name. A repair time or straggler
+/// factor is only read when the fault it belongs to is on.
+bool check_simulate_flags(const Flags& flags) {
+  if (!check_real(flags, "solver-budget-s", "finite and >= 0",
+                  is_finite_non_negative) ||
+      !check_real(flags, "mtbf", "finite and >= 0 (0 = no failures)",
+                  is_finite_non_negative) ||
+      !check_real(flags, "rack-mtbf", "finite and >= 0 (0 = no bursts)",
+                  is_finite_non_negative) ||
+      !check_real(flags, "straggler-prob", "in [0, 1]", is_probability)) {
+    return false;
+  }
+  if (flags.get_double("mtbf") > 0.0 &&
+      !check_real(flags, "mttr", "finite and > 0 when --mtbf > 0",
+                  is_finite_positive)) {
+    return false;
+  }
+  if (flags.get_double("rack-mtbf") > 0.0 &&
+      !check_real(flags, "rack-mttr", "finite and > 0 when --rack-mtbf > 0",
+                  is_finite_positive)) {
+    return false;
+  }
+  return flags.get_double("straggler-prob") == 0.0 ||
+         check_real(flags, "straggler-factor",
+                    "finite and >= 1 when --straggler-prob > 0",
+                    [](double v) { return std::isfinite(v) && v >= 1.0; });
 }
 
 /// Parses --speeds ("500,1000,2000") into positive permille values; an
@@ -215,7 +248,8 @@ int run_inspect(const Flags& flags) {
 
 int run_simulate(const Flags& flags) {
   if (!check_real(flags, "warmup", "in [0, 1)",
-                  [](double v) { return v >= 0.0 && v < 1.0; })) {
+                  [](double v) { return v >= 0.0 && v < 1.0; }) ||
+      !check_simulate_flags(flags)) {
     return 1;
   }
   bool ok = false;
@@ -255,9 +289,6 @@ int run_simulate(const Flags& flags) {
     config.solve.time_limit_s = flags.get_double("solver-budget-s");
     config.use_separation = !flags.get_bool("no-separation");
     config.defer_future_jobs = !flags.get_bool("no-deferral");
-    config.fallback_enabled = flags.get_bool("fallback");
-    config.max_solve_retries = static_cast<int>(flags.get_int("max-solve-retries"));
-    config.solver_deadline_s = flags.get_double("solver-deadline");
     config.degrade_backpressure = flags.get_bool("degrade-backpressure");
     if (flags.get_bool("incremental")) {
       config.replan_scope = ReplanScope::kDirtyOnly;
@@ -349,9 +380,8 @@ int run_simulate(const Flags& flags) {
     std::printf("  matchmake wall = %.3f s, publish wall = %.3f s\n",
                 matchmake_s, publish_s);
     std::printf("degradation:\n");
-    std::printf("  primary = %llu, retry = %llu, fallback = %llu\n",
+    std::printf("  primary = %llu, fallback = %llu\n",
                 static_cast<unsigned long long>(d.primary),
-                static_cast<unsigned long long>(d.retry),
                 static_cast<unsigned long long>(d.fallback));
     std::printf("  parked = %llu, skipped = %llu, idle = %llu\n",
                 static_cast<unsigned long long>(d.parked),
@@ -405,12 +435,6 @@ int main(int argc, char** argv) {
       .add_double("solver-budget-s", 0.1, "mrcp: CP budget per invocation")
       .add_bool("no-separation", false, "mrcp: disable §V.D separation")
       .add_bool("no-deferral", false, "mrcp: disable §V.E deferral")
-      .add_bool("fallback", true,
-                "mrcp: EDF fallback when CP yields nothing (=false disables)")
-      .add_int("max-solve-retries", 2,
-               "mrcp: shrink/backoff retries before the fallback")
-      .add_double("solver-deadline", 0.0,
-                  "mrcp: wall-clock watchdog per invocation (s, 0 = auto)")
       .add_bool("degrade-backpressure", true,
                 "mrcp: hold burst arrivals while running degraded")
       .add_bool("incremental", false,
