@@ -118,23 +118,52 @@ SlotProfile minimal_slot_profile(const PhaseStats& map_stats,
   }
 
   // Sweep map slots; for each, the reduce phase gets the residual budget.
-  int best_total = max_map_slots + max_reduce_slots + 1;
-  for (int nm = 1; nm <= max_map_slots; ++nm) {
-    const Time t_map = aria_completion_estimate(map_stats, nm, bound);
-    const Time residual = budget - t_map;
-    if (residual <= Time{0}) continue;
-    const int nr =
-        min_slots_for_estimate(reduce_stats, residual, max_reduce_slots, bound);
-    if (nr == 0) continue;
+  // Both estimates are non-increasing in the slot count, so the residual
+  // never shrinks as nm grows and the smallest feasible nr never grows:
+  // the feasible nm form a suffix [nm0, max], found by binary search, and
+  // nr is searched once at nm0 and then only walked down. The result is
+  // the same smallest-nm minimum of nm + nr as a full sweep.
+  if (max_map_slots < 1) return best;
+  const auto map_estimate = [&](int nm) {
+    return aria_completion_estimate(map_stats, nm, bound);
+  };
+  const Time reduce_floor =
+      aria_completion_estimate(reduce_stats, max_reduce_slots, bound);
+  const auto nm_feasible = [&](int nm) {
+    return map_estimate(nm) + reduce_floor <= budget;
+  };
+  if (!nm_feasible(max_map_slots)) return best;
+  int lo = 1;
+  int hi = max_map_slots;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    if (nm_feasible(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  int nr = min_slots_for_estimate(reduce_stats, budget - map_estimate(lo),
+                                  max_reduce_slots, bound);
+  int best_total = lo + nr;
+  best.map_slots = lo;
+  best.reduce_slots = nr;
+  best.feasible = true;
+  // A later nm needs at least one reduce slot, so it can beat best_total
+  // only while nm + 1 < best_total. Once the reduce phase needs a single
+  // slot, growing nm only raises the total.
+  for (int nm = lo + 1; nm <= max_map_slots && nr > 1; ++nm) {
+    if (nm + 1 >= best_total) break;
+    const Time residual = budget - map_estimate(nm);
+    while (nr > 1 &&
+           aria_completion_estimate(reduce_stats, nr - 1, bound) <= residual) {
+      --nr;
+    }
     if (nm + nr < best_total) {
       best_total = nm + nr;
       best.map_slots = nm;
       best.reduce_slots = nr;
-      best.feasible = true;
     }
-    // Once the reduce phase needs a single slot, growing nm only raises
-    // the total.
-    if (nr == 1) break;
   }
   return best;
 }

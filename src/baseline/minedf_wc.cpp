@@ -39,6 +39,11 @@ void build_queue(MinEdfWcScheduler::PhaseQueue& queue, const Job& job,
 
 }  // namespace
 
+bool MinEdfWcScheduler::edf_before(const EdfEntry& a, const EdfEntry& b) {
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return a.id < b.id;
+}
+
 void MinEdfWcScheduler::PhaseQueue::requeue(int task_index, Time duration) {
   MRCP_CHECK_MSG(head > 0, "requeue without a prior pop");
   --head;
@@ -135,8 +140,10 @@ void MinEdfWcScheduler::submit(const Job& job, Time now) {
   build_queue(run.reduces, job, TaskType::kReduce, config_.task_order);
   run.maps_unfinished = static_cast<int>(run.maps.pending());
   run.job = job;
-  const JobId id = run.job.id;
-  jobs_.emplace(id, std::move(run));
+  JobRun& stored = jobs_.emplace(job.id, std::move(run)).first->second;
+  const EdfEntry entry{job.deadline, job.id, &stored};
+  edf_.insert(std::lower_bound(edf_.begin(), edf_.end(), entry, edf_before),
+              entry);
   dispatch(now);
 }
 
@@ -170,6 +177,11 @@ void MinEdfWcScheduler::on_task_finished(JobId job, int task_index, Time now) {
   }
   if (run.finished()) {
     ++stats_.jobs_completed;
+    const EdfEntry entry{run.job.deadline, job, &run};
+    const auto pos =
+        std::lower_bound(edf_.begin(), edf_.end(), entry, edf_before);
+    MRCP_CHECK(pos != edf_.end() && pos->run == &run);
+    edf_.erase(pos);
     jobs_.erase(it);
   }
   dispatch(now);
@@ -185,19 +197,6 @@ Time MinEdfWcScheduler::next_eligible_time(Time now) const {
     }
   }
   return next;
-}
-
-std::vector<JobId> MinEdfWcScheduler::edf_order() const {
-  std::vector<JobId> order;
-  order.reserve(jobs_.size());
-  for (const auto& [id, run] : jobs_) order.push_back(id);
-  std::stable_sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-    const Time da = jobs_.at(a).job.deadline;
-    const Time db = jobs_.at(b).job.deadline;
-    if (da != db) return da < db;
-    return a < b;
-  });
-  return order;
 }
 
 bool MinEdfWcScheduler::launch_task(JobRun& run, int task_index, Time now) {
@@ -223,110 +222,104 @@ bool MinEdfWcScheduler::launch_task(JobRun& run, int task_index, Time now) {
   return true;
 }
 
+SlotProfile MinEdfWcScheduler::target_profile(const JobRun& run,
+                                              Time now) const {
+  if (config_.allocation == AllocationPolicy::kMaximal) {
+    // Plain EDF: grab everything; the EDF pass order is the only
+    // prioritization.
+    return SlotProfile{avail_map_, avail_reduce_, true};
+  }
+  // Remaining work = pending tasks plus the residual of running tasks;
+  // ignoring the running residual would make the estimator think a busy
+  // slot can immediately serve pending work. The estimator is capped by
+  // the currently-up slot pool (clamped to 1 during a total-phase outage;
+  // grants are bounded by the free counters anyway, so nothing launches
+  // then).
+  return minimal_slot_profile(run.maps.remaining_stats(now),
+                              run.reduces.remaining_stats(now), now,
+                              run.job.deadline, std::max(1, avail_map_),
+                              std::max(1, avail_reduce_), config_.bound);
+}
+
+void MinEdfWcScheduler::launch_from(JobRun& run, PhaseQueue& queue, int count,
+                                    Time now) {
+  // A refusal (placement-constrained task with no eligible free slot) is
+  // stashed and re-queued after the phase's launches — re-queuing inline
+  // would pop/refuse the same head task forever.
+  std::vector<int> refused;  // allocates only on a refusal
+  for (int k = 0; k < count; ++k) {
+    const int ti = queue.pop_front();
+    if (!launch_task(run, ti, now)) refused.push_back(ti);
+  }
+  // Reverse re-queue restores the original dispatch order.
+  for (auto it = refused.rbegin(); it != refused.rend(); ++it) {
+    queue.requeue(*it, run.job.task(static_cast<std::size_t>(*it)).exec_time);
+    ++stats_.tasks_refused;
+  }
+}
+
 void MinEdfWcScheduler::dispatch(Time now) {
   Stopwatch timer;
   ++stats_.dispatches;
 
-  const std::vector<JobId> order = edf_order();
-
   // Pass 1 (MinEDF): grant each job, in EDF order, the extra slots its
   // minimal profile demands beyond what it already runs.
   // Pass 2 (WC): hand remaining slots to EDF-first jobs with pending work.
-  std::map<JobId, int> grant_m;
-  std::map<JobId, int> grant_r;
+  grants_.assign(edf_.size(), Grant{});
   int free_m = free_map_;
   int free_r = free_reduce_;
 
-  for (JobId id : order) {
-    const JobRun& run = jobs_.at(id);
+  for (std::size_t i = 0; i < edf_.size(); ++i) {
+    const JobRun& run = *edf_[i].run;
     if (run.job.earliest_start > now) continue;  // not yet eligible (AR)
-    SlotProfile prof;
-    if (config_.allocation == AllocationPolicy::kMaximal) {
-      // Plain EDF: grab everything; the EDF pass order is the only
-      // prioritization.
-      prof.map_slots = avail_map_;
-      prof.reduce_slots = avail_reduce_;
-      prof.feasible = true;
-    } else {
-      // Remaining work = pending tasks plus the residual of running
-      // tasks; ignoring the running residual would make the estimator
-      // think a busy slot can immediately serve pending work. The
-      // estimator is capped by the currently-up slot pool (clamped to 1
-      // during a total-phase outage; grants are bounded by the free
-      // counters anyway, so nothing launches then).
-      const PhaseStats map_stats = run.maps.remaining_stats(now);
-      const PhaseStats reduce_stats = run.reduces.remaining_stats(now);
-      prof = minimal_slot_profile(map_stats, reduce_stats, now,
-                                  run.job.deadline, std::max(1, avail_map_),
-                                  std::max(1, avail_reduce_), config_.bound);
-    }
-
-    int want_m = std::max(0, prof.map_slots - run.running_maps);
-    want_m = std::max(
-        0, std::min({want_m, static_cast<int>(run.maps.pending()), free_m}));
-    grant_m[id] = want_m;
-    free_m -= want_m;
-
-    if (run.reduces_eligible()) {
-      int want_r = std::max(0, prof.reduce_slots - run.running_reduces);
-      want_r = std::max(
-          0,
-          std::min({want_r, static_cast<int>(run.reduces.pending()), free_r}));
-      grant_r[id] = want_r;
-      free_r -= want_r;
+    const int pending_m = static_cast<int>(run.maps.pending());
+    const int pending_r =
+        run.reduces_eligible() ? static_cast<int>(run.reduces.pending()) : 0;
+    // Each grant is clamped to the job's pending tasks and the free
+    // slots, so a job that can be granted neither phase needs no profile.
+    if ((pending_m > 0 && free_m > 0) || (pending_r > 0 && free_r > 0)) {
+      const SlotProfile prof = target_profile(run, now);
+      Grant& grant = grants_[i];
+      grant.maps = std::max(
+          0, std::min({prof.map_slots - run.running_maps, pending_m, free_m}));
+      free_m -= grant.maps;
+      grant.reduces = std::max(
+          0, std::min({prof.reduce_slots - run.running_reduces, pending_r,
+                       free_r}));
+      free_r -= grant.reduces;
     }
     if (free_m == 0 && free_r == 0) break;
   }
 
-  for (JobId id : order) {
+  for (std::size_t i = 0; i < edf_.size(); ++i) {
     if (free_m == 0 && free_r == 0) break;
-    const JobRun& run = jobs_.at(id);
+    const JobRun& run = *edf_[i].run;
     if (run.job.earliest_start > now) continue;
+    Grant& grant = grants_[i];
     const int extra_m =
-        std::min(free_m, static_cast<int>(run.maps.pending()) - grant_m[id]);
+        std::min(free_m, static_cast<int>(run.maps.pending()) - grant.maps);
     if (extra_m > 0) {
-      grant_m[id] += extra_m;
+      grant.maps += extra_m;
       free_m -= extra_m;
     }
     if (run.reduces_eligible()) {
       const int extra_r = std::min(
-          free_r, static_cast<int>(run.reduces.pending()) - grant_r[id]);
+          free_r, static_cast<int>(run.reduces.pending()) - grant.reduces);
       if (extra_r > 0) {
-        grant_r[id] += extra_r;
+        grant.reduces += extra_r;
         free_r -= extra_r;
       }
     }
   }
 
-  // Launch the granted tasks in each job's dispatch order. A refusal
-  // (placement-constrained task with no eligible free slot) is stashed
-  // and re-queued *after* the job's launches — re-queuing inline would
-  // pop/refuse the same head task forever.
-  for (JobId id : order) {
-    JobRun& run = jobs_.at(id);
-    std::vector<int> refused_m;
-    std::vector<int> refused_r;
-    for (int k = 0; k < grant_m[id]; ++k) {
-      const int ti = run.maps.pop_front();
-      if (!launch_task(run, ti, now)) refused_m.push_back(ti);
-    }
-    if (grant_r.count(id) != 0U) {
-      for (int k = 0; k < grant_r[id]; ++k) {
-        const int ti = run.reduces.pop_front();
-        if (!launch_task(run, ti, now)) refused_r.push_back(ti);
-      }
-    }
-    // Reverse re-queue restores the original dispatch order.
-    for (auto it = refused_m.rbegin(); it != refused_m.rend(); ++it) {
-      run.maps.requeue(*it,
-                       run.job.task(static_cast<std::size_t>(*it)).exec_time);
-      ++stats_.tasks_refused;
-    }
-    for (auto it = refused_r.rbegin(); it != refused_r.rend(); ++it) {
-      run.reduces.requeue(
-          *it, run.job.task(static_cast<std::size_t>(*it)).exec_time);
-      ++stats_.tasks_refused;
-    }
+  // Launch the granted tasks in EDF order, each job's in its dispatch
+  // order.
+  for (std::size_t i = 0; i < edf_.size(); ++i) {
+    const Grant grant = grants_[i];
+    if (grant.maps == 0 && grant.reduces == 0) continue;
+    JobRun& run = *edf_[i].run;
+    launch_from(run, run.maps, grant.maps, now);
+    launch_from(run, run.reduces, grant.reduces, now);
   }
 
   stats_.total_sched_seconds += timer.elapsed_seconds();

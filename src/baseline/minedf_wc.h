@@ -157,8 +157,25 @@ class MinEdfWcScheduler {
     }
   };
 
+  /// One live job in the EDF index, ordered by (deadline, id).
+  struct EdfEntry {
+    Time deadline;
+    JobId id;
+    JobRun* run;  ///< node of jobs_, stable until the job completes
+  };
+  static bool edf_before(const EdfEntry& a, const EdfEntry& b);
+  /// Slots one dispatch grants a job, parallel to edf_.
+  struct Grant {
+    int maps = 0;
+    int reduces = 0;
+  };
+
   void dispatch(Time now);
-  std::vector<JobId> edf_order() const;
+  /// Slots the job should hold per the configured allocation policy.
+  SlotProfile target_profile(const JobRun& run, Time now) const;
+  /// Pop and launch `count` tasks of `queue`; refused launches go back to
+  /// the front of the queue in their original order.
+  void launch_from(JobRun& run, PhaseQueue& queue, int count, Time now);
   /// False when the driver refused the launch (caller re-queues).
   bool launch_task(JobRun& run, int task_index, Time now);
 
@@ -172,6 +189,10 @@ class MinEdfWcScheduler {
   int avail_map_ = 0;
   int avail_reduce_ = 0;
   std::map<JobId, JobRun> jobs_;
+  /// Live jobs in EDF order; submit() inserts, completion erases.
+  std::vector<EdfEntry> edf_;
+  /// Per-dispatch grants, kept to reuse their capacity.
+  std::vector<Grant> grants_;
   MinEdfStats stats_;
 };
 

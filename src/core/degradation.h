@@ -56,9 +56,10 @@ struct InvocationRecord {
   /// (the per-call share of the paper's O).
   double wall_seconds = 0.0;
   /// Wall clock of the call's stages (solve_wall_seconds covers the
-  /// solver): collecting and parking the live set, building and
-  /// validating the model, mapping the chosen placements onto resources
-  /// and committing them, and publishing the plan.
+  /// solver's search, not the model check cp::solve() runs first):
+  /// collecting and parking the live set, building the model, mapping the
+  /// chosen placements onto resources and committing them, and publishing
+  /// the plan.
   double collect_wall_seconds = 0.0;
   double build_wall_seconds = 0.0;
   double matchmake_wall_seconds = 0.0;

@@ -81,7 +81,8 @@ const char* solve_status_name(SolveStatus status) {
 }
 
 SolveResult solve(const Model& model, const SolveParams& params) {
-  MRCP_CHECK_MSG(model.validate().empty(), "invalid model passed to solve()");
+  const std::string model_err = model.validate();
+  MRCP_CHECK_MSG(model_err.empty(), model_err.c_str());
   MRCP_CHECK_MSG(params.num_threads == 1,
                  "SolveParams::num_threads must be 1: solve() runs every "
                  "descent in the calling thread");

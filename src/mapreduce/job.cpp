@@ -77,48 +77,46 @@ std::string Job::to_string() const {
 }
 
 std::string validate_job(const Job& job) {
-  std::ostringstream os;
   if (job.id < 0) return "job id is negative";
   if (job.arrival_time < Time{0}) return "arrival time is negative";
   if (job.earliest_start < job.arrival_time)
     return "earliest start precedes arrival";
   if (job.deadline <= job.earliest_start) return "deadline at or before s_j";
   if (job.num_tasks() == 0) return "job has no tasks";
-  auto check_placement = [](const Task& t, const char* phase) -> std::string {
+  // The phase name is prefixed only on the failure path.
+  auto placement_error = [](const Task& t) -> const char* {
     std::vector<ResourceId> c = t.candidates;
     std::sort(c.begin(), c.end());
     if (!c.empty() && c.front() < 0) {
-      return std::string(phase) + " task with negative candidate resource";
+      return " task with negative candidate resource";
     }
     if (std::adjacent_find(c.begin(), c.end()) != c.end()) {
-      return std::string(phase) + " task with duplicate candidate resource";
+      return " task with duplicate candidate resource";
     }
     std::vector<int> r = t.racks;
     std::sort(r.begin(), r.end());
-    if (!r.empty() && r.front() < 0) {
-      return std::string(phase) + " task with negative rack id";
-    }
+    if (!r.empty() && r.front() < 0) return " task with negative rack id";
     if (std::adjacent_find(r.begin(), r.end()) != r.end()) {
-      return std::string(phase) + " task with duplicate rack id";
+      return " task with duplicate rack id";
     }
-    if (t.affinity_group < -1) {
-      return std::string(phase) + " task with affinity group below -1";
-    }
-    return "";
+    if (t.affinity_group < -1) return " task with affinity group below -1";
+    return nullptr;
   };
   for (const Task& t : job.map_tasks) {
     if (t.type != TaskType::kMap) return "map list contains non-map task";
     if (t.exec_time <= Time{0}) return "map task with non-positive exec time";
     if (t.res_req < 1) return "map task with res_req < 1";
     if (t.net_demand < 0) return "map task with negative net demand";
-    if (std::string err = check_placement(t, "map"); !err.empty()) return err;
+    if (const char* err = placement_error(t)) return std::string("map") + err;
   }
   for (const Task& t : job.reduce_tasks) {
     if (t.type != TaskType::kReduce) return "reduce list contains non-reduce task";
     if (t.exec_time <= Time{0}) return "reduce task with non-positive exec time";
     if (t.res_req < 1) return "reduce task with res_req < 1";
     if (t.net_demand < 0) return "reduce task with negative net demand";
-    if (std::string err = check_placement(t, "reduce"); !err.empty()) return err;
+    if (const char* err = placement_error(t)) {
+      return std::string("reduce") + err;
+    }
   }
 
   // User precedences: indices in range, no self-loops, and the combined

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "reference_minedf.h"
+
 namespace mrcp::baseline {
 namespace {
 
@@ -170,6 +173,60 @@ TEST(MinimalSlotProfile, NowOffsetsBudget) {
   EXPECT_TRUE(p.feasible);
   EXPECT_EQ(p.map_slots, 1);
   EXPECT_EQ(p.reduce_slots, 1);
+}
+
+/// Random phase statistics: empty in about one case in six, otherwise
+/// 1-40 tasks whose durations come from a narrow or a heavy-tailed range.
+PhaseStats random_phase(RandomStream& rng) {
+  PhaseStats stats;
+  if (rng.bernoulli(1.0 / 6.0)) return stats;
+  const auto count = rng.uniform_int(1, 40);
+  const std::int64_t top = rng.bernoulli(0.5) ? 50 : 5000;
+  for (std::int64_t i = 0; i < count; ++i) {
+    stats.add(Time{rng.uniform_int(1, top)});
+  }
+  return stats;
+}
+
+// The monotone sweep (one reduce-slot search, then walk-down, cut once no
+// later map-slot count can win) against the full sweep that searches the
+// reduce slots for every map-slot count. Budgets span negative, zero,
+// tight and generous; slot caps span 1-128.
+TEST(MinimalSlotProfile, MatchesFullSweepOnRandomInputs) {
+  RandomStream rng(20240615, 1);
+  int feasible = 0;
+  int two_phase_feasible = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const PhaseStats maps = random_phase(rng);
+    const PhaseStats reduces = random_phase(rng);
+    const AriaBound bound =
+        rng.bernoulli(0.5) ? AriaBound::kAverage : AriaBound::kUpper;
+    const int max_map = static_cast<int>(rng.uniform_int(1, 128));
+    const int max_reduce = static_cast<int>(rng.uniform_int(1, 128));
+    const Time work = maps.sum + reduces.sum;
+    const Time now{rng.uniform_int(0, 1000)};
+    // Mostly budgets between the longest task and the serial work, where
+    // the slot counts matter; some at or below zero.
+    const Time budget =
+        rng.bernoulli(0.05)
+            ? Time{rng.uniform_int(-100, 0)}
+            : Time{rng.uniform_int(1, std::max<std::int64_t>(
+                                          2, (work + work / 2).count()))};
+    const SlotProfile got = minimal_slot_profile(
+        maps, reduces, now, now + budget, max_map, max_reduce, bound);
+    const SlotProfile want = reference::full_sweep_slot_profile(
+        maps, reduces, now, now + budget, max_map, max_reduce, bound);
+    ASSERT_EQ(got.feasible, want.feasible) << "case " << i;
+    ASSERT_EQ(got.map_slots, want.map_slots) << "case " << i;
+    ASSERT_EQ(got.reduce_slots, want.reduce_slots) << "case " << i;
+    feasible += got.feasible ? 1 : 0;
+    two_phase_feasible +=
+        got.feasible && got.map_slots > 1 && got.reduce_slots > 1 ? 1 : 0;
+  }
+  // The sample must exercise both outcomes and real two-phase trade-offs.
+  EXPECT_GT(feasible, 2000);
+  EXPECT_GT(two_phase_feasible, 1000);
+  EXPECT_LT(feasible, 19000);
 }
 
 }  // namespace

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <queue>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "../test_util.h"
+#include "common/rng.h"
+#include "reference_minedf.h"
 
 namespace mrcp::baseline {
 namespace {
@@ -283,6 +288,287 @@ TEST(MinEdfWc, NeverLaunchesBeyondCapacity) {
     if (l.start == Time{0}) ++at_zero;
   }
   EXPECT_EQ(at_zero, 2);
+}
+
+// ---------------------------------------------------------------------
+// Differential test: the production scheduler against the reference
+// sort-and-maps dispatch (reference_minedf.h), both driven by the same
+// small event-driven cluster with speeds, launch refusals and outages.
+
+/// One launch request and the cluster's answer (kNoTime = refused).
+struct LaunchLog {
+  JobId job;
+  int task_index;
+  Time start;
+  Time end;
+  bool operator==(const LaunchLog&) const = default;
+};
+
+struct Outage {
+  ResourceId resource;
+  Time down;
+  Time up;
+};
+
+struct Scenario {
+  Cluster cluster;
+  std::vector<Job> jobs;  ///< indexed by id
+  std::vector<Outage> outages;
+  bool refusals = false;
+};
+
+Scenario random_scenario(std::uint64_t seed) {
+  RandomStream rng(seed, 7);
+  Scenario sc;
+  const auto resources = rng.uniform_int(2, 5);
+  for (std::int64_t r = 0; r < resources; ++r) {
+    const int speeds[] = {500, 1000, 2000};
+    sc.cluster.add_resource_hetero(
+        static_cast<int>(rng.uniform_int(1, 3)),
+        static_cast<int>(rng.uniform_int(1, 2)), 0,
+        speeds[rng.uniform_int(0, 2)], 0);
+  }
+  const auto n = rng.uniform_int(15, 40);
+  // Ids in shuffled arrival order, so that the id tie-break of EDF is not
+  // also the order of submission.
+  std::vector<JobId> ids(static_cast<std::size_t>(n));
+  for (JobId id = 0; id < n; ++id) ids[static_cast<std::size_t>(id)] = id;
+  rng.shuffle(ids.begin(), ids.end());
+  sc.jobs.resize(ids.size());
+  Time arrival{0};
+  for (const JobId id : ids) {
+    arrival += Time{rng.uniform_int(0, 150)};
+    const Time start =
+        rng.bernoulli(0.2) ? arrival + Time{rng.uniform_int(1, 400)} : arrival;
+    std::vector<Time> maps(static_cast<std::size_t>(rng.uniform_int(0, 12)));
+    std::vector<Time> reduces(static_cast<std::size_t>(rng.uniform_int(0, 4)));
+    if (maps.empty() && reduces.empty()) maps.resize(1);
+    const std::int64_t top = rng.bernoulli(0.3) ? 400 : 60;
+    Time work{0};
+    for (Time& d : maps) work += d = Time{rng.uniform_int(1, top)};
+    for (Time& d : reduces) work += d = Time{rng.uniform_int(1, top)};
+    // Tight to loose deadlines, rounded so that EDF ties on the deadline
+    // and falls back to the job id.
+    const double stretch = rng.uniform_real(0.1, 2.0);
+    const auto slack = static_cast<std::int64_t>(
+        static_cast<double>(work.count()) * stretch);
+    const Time deadline = start + Time{(slack / 50 + 1) * 50};
+    sc.jobs[static_cast<std::size_t>(id)] =
+        testutil::make_job(id, arrival, start, deadline, maps, reduces);
+  }
+  sc.refusals = seed % 3 != 0;
+  if (seed % 3 != 0) {
+    for (ResourceId r = 0; r < sc.cluster.size(); ++r) {
+      Time t{0};
+      for (auto k = rng.uniform_int(0, 3); k > 0; --k) {
+        t += Time{rng.uniform_int(1, 800)};
+        const Time up = t + Time{rng.uniform_int(10, 300)};
+        sc.outages.push_back({r, t, up});
+        t = up;
+      }
+    }
+  }
+  return sc;
+}
+
+struct DriveResult {
+  std::vector<LaunchLog> launches;
+  MinEdfStats stats;
+  std::size_t live_jobs = 0;
+};
+
+/// Run `sc` to the end under scheduler type S. Events at one instant
+/// fire in the order they were scheduled; everything the loop decides
+/// is a function of what the scheduler asked, so two schedulers making
+/// the same calls see the same answers.
+template <class S>
+DriveResult drive(const Scenario& sc, const MinEdfConfig& config) {
+  enum class Kind { kArrive, kEnd, kWake, kDown, kUp };
+  struct Event {
+    Time at;
+    std::uint64_t seq;
+    Kind kind;
+    std::size_t index;
+    bool operator>(const Event& o) const {
+      return std::tie(at, seq) > std::tie(o.at, o.seq);
+    }
+  };
+  struct Running {
+    JobId job;
+    int task_index;
+    ResourceId resource;
+    bool is_map;
+    Time end;
+    bool live;
+  };
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  std::uint64_t seq = 0;
+  auto push = [&](Time at, Kind kind, std::size_t index) {
+    events.push(Event{at, seq++, kind, index});
+  };
+  const int n_res = sc.cluster.size();
+  std::vector<bool> up(static_cast<std::size_t>(n_res), true);
+  std::vector<int> free_m(static_cast<std::size_t>(n_res));
+  std::vector<int> free_r(static_cast<std::size_t>(n_res));
+  for (ResourceId r = 0; r < n_res; ++r) {
+    free_m[static_cast<std::size_t>(r)] = sc.cluster.resource(r).map_capacity;
+    free_r[static_cast<std::size_t>(r)] =
+        sc.cluster.resource(r).reduce_capacity;
+  }
+  std::vector<Running> running;
+  std::set<Time> wakes;
+  DriveResult out;
+  Time now{0};
+
+  auto slot_count = [&](const Running& rt) -> int& {
+    const auto r = static_cast<std::size_t>(rt.resource);
+    return rt.is_map ? free_m[r] : free_r[r];
+  };
+  auto wake_at = [&](Time at) {
+    if (wakes.insert(at).second) push(at, Kind::kWake, 0);
+  };
+
+  S sched(
+      sc.cluster,
+      [&](JobId job, int task_index, Time start, Time base_end) -> Time {
+        const Task& task = sc.jobs[static_cast<std::size_t>(job)].task(
+            static_cast<std::size_t>(task_index));
+        const bool is_map = task.type == TaskType::kMap;
+        // About one launch in seven is refused, as a placement-constrained
+        // task with no eligible free slot would be; the loop retries a
+        // tick later.
+        const auto key = static_cast<std::uint64_t>(job) * 7919U +
+                         static_cast<std::uint64_t>(task_index) * 104729U +
+                         static_cast<std::uint64_t>(start.count());
+        ResourceId host = -1;
+        for (ResourceId r = 0; r < n_res && host < 0; ++r) {
+          const auto ri = static_cast<std::size_t>(r);
+          if (up[ri] && (is_map ? free_m[ri] : free_r[ri]) > 0) host = r;
+        }
+        EXPECT_GE(host, 0) << "launch beyond the free slots";
+        if (host < 0 || (sc.refusals && key % 7 == 0)) {
+          out.launches.push_back({job, task_index, start, kNoTime});
+          wake_at(start + Time{1});
+          return kNoTime;
+        }
+        const Time end =
+            start + sc.cluster.resource(host).scaled_duration(base_end - start);
+        running.push_back({job, task_index, host, is_map, end, true});
+        --slot_count(running.back());
+        push(end, Kind::kEnd, running.size() - 1);
+        out.launches.push_back({job, task_index, start, end});
+        return end;
+      },
+      config);
+
+  for (std::size_t j = 0; j < sc.jobs.size(); ++j) {
+    push(sc.jobs[j].arrival_time, Kind::kArrive, j);
+  }
+  for (std::size_t o = 0; o < sc.outages.size(); ++o) {
+    push(sc.outages[o].down, Kind::kDown, o);
+    push(sc.outages[o].up, Kind::kUp, o);
+  }
+  while (!events.empty()) {
+    const Event ev = events.top();
+    events.pop();
+    now = ev.at;
+    switch (ev.kind) {
+      case Kind::kArrive:
+        sched.submit(sc.jobs[ev.index], now);
+        break;
+      case Kind::kEnd: {
+        Running& rt = running[ev.index];
+        if (!rt.live) continue;  // killed by an outage
+        rt.live = false;
+        ++slot_count(rt);
+        sched.on_task_finished(rt.job, rt.task_index, now);
+        break;
+      }
+      case Kind::kWake:
+        wakes.erase(now);
+        sched.wake(now);
+        break;
+      case Kind::kDown: {
+        const ResourceId r = sc.outages[ev.index].resource;
+        const Resource& res = sc.cluster.resource(r);
+        up[static_cast<std::size_t>(r)] = false;
+        sched.handle_resource_down(res.map_capacity, res.reduce_capacity);
+        // A task ending at this instant completes normally.
+        for (Running& rt : running) {
+          if (!rt.live || rt.resource != r || rt.end <= now) continue;
+          rt.live = false;
+          ++slot_count(rt);
+          sched.handle_task_killed(rt.job, rt.task_index, rt.end, now);
+        }
+        sched.wake(now);
+        break;
+      }
+      case Kind::kUp: {
+        const ResourceId r = sc.outages[ev.index].resource;
+        const Resource& res = sc.cluster.resource(r);
+        up[static_cast<std::size_t>(r)] = true;
+        sched.handle_resource_up(res.map_capacity, res.reduce_capacity);
+        sched.wake(now);
+        break;
+      }
+    }
+    const Time next = sched.next_eligible_time(now);
+    if (next != kNoTime) wake_at(std::max(next, now));
+  }
+  out.stats = sched.stats();
+  out.live_jobs = sched.live_jobs();
+  return out;
+}
+
+TEST(MinEdfWcDifferential, MatchesSortAndMapsDispatch) {
+  MinEdfStats total;
+  int runs = 0;
+  for (const AllocationPolicy allocation :
+       {AllocationPolicy::kMinimal, AllocationPolicy::kMaximal}) {
+    for (const AriaBound bound : {AriaBound::kAverage, AriaBound::kUpper}) {
+      for (const TaskDispatchOrder order :
+           {TaskDispatchOrder::kFifo, TaskDispatchOrder::kLpt}) {
+        const MinEdfConfig config{bound, order, allocation};
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " allocation "
+                       << static_cast<int>(allocation) << " bound "
+                       << static_cast<int>(bound) << " order "
+                       << static_cast<int>(order));
+          const Scenario sc = random_scenario(seed);
+          const DriveResult got = drive<MinEdfWcScheduler>(sc, config);
+          const DriveResult want =
+              drive<reference::MinEdfScheduler>(sc, config);
+          ASSERT_EQ(got.launches.size(), want.launches.size());
+          for (std::size_t i = 0; i < got.launches.size(); ++i) {
+            ASSERT_EQ(got.launches[i], want.launches[i]) << "launch " << i;
+          }
+          const MinEdfStats& g = got.stats;
+          const MinEdfStats& w = want.stats;
+          EXPECT_EQ(g.jobs_submitted, w.jobs_submitted);
+          EXPECT_EQ(g.jobs_completed, w.jobs_completed);
+          EXPECT_EQ(g.dispatches, w.dispatches);
+          EXPECT_EQ(g.tasks_launched, w.tasks_launched);
+          EXPECT_EQ(g.tasks_requeued, w.tasks_requeued);
+          EXPECT_EQ(g.tasks_refused, w.tasks_refused);
+          EXPECT_EQ(g.resource_down_events, w.resource_down_events);
+          EXPECT_EQ(g.resource_up_events, w.resource_up_events);
+          EXPECT_EQ(got.live_jobs, 0u);
+          EXPECT_EQ(want.live_jobs, 0u);
+          EXPECT_EQ(g.jobs_completed, sc.jobs.size());
+          total.tasks_refused += g.tasks_refused;
+          total.tasks_requeued += g.tasks_requeued;
+          total.resource_down_events += g.resource_down_events;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 96);
+  // The scenarios must reach the refusal and failure paths.
+  EXPECT_GT(total.tasks_refused, 100u);
+  EXPECT_GT(total.tasks_requeued, 100u);
+  EXPECT_GT(total.resource_down_events, 100u);
 }
 
 }  // namespace

@@ -120,6 +120,30 @@ TEST(ValidateJob, RejectsBadResReq) {
   EXPECT_NE(validate_job(j), "");
 }
 
+TEST(ValidateJob, PlacementErrorsNameThePhase) {
+  const Job good =
+      make_job(0, Time{0}, Time{0}, Time{100}, {Time{10}}, {Time{10}});
+  auto with = [&](bool reduce, auto edit) {
+    Job j = good;
+    edit(reduce ? j.reduce_tasks[0] : j.map_tasks[0]);
+    return validate_job(j);
+  };
+  for (const bool reduce : {false, true}) {
+    const std::string phase = reduce ? "reduce" : "map";
+    EXPECT_EQ(with(reduce, [](Task& t) { t.candidates = {2, -1}; }),
+              phase + " task with negative candidate resource");
+    EXPECT_EQ(with(reduce, [](Task& t) { t.candidates = {3, 1, 3}; }),
+              phase + " task with duplicate candidate resource");
+    EXPECT_EQ(with(reduce, [](Task& t) { t.racks = {-2}; }),
+              phase + " task with negative rack id");
+    EXPECT_EQ(with(reduce, [](Task& t) { t.racks = {0, 0}; }),
+              phase + " task with duplicate rack id");
+    EXPECT_EQ(with(reduce, [](Task& t) { t.affinity_group = -2; }),
+              phase + " task with affinity group below -1");
+    EXPECT_EQ(with(reduce, [](Task& t) { t.candidates = {0, 4}; }), "");
+  }
+}
+
 TEST(TaskTypeName, Names) {
   EXPECT_STREQ(task_type_name(TaskType::kMap), "map");
   EXPECT_STREQ(task_type_name(TaskType::kReduce), "reduce");
