@@ -121,9 +121,9 @@ constexpr Time seconds_to_ticks(std::int64_t seconds) {
 }
 
 /// Saturating tick addition: the result is clamped to [-kMaxTime,
-/// kMaxTime] instead of wrapping. User-configurable delays (backpressure
-/// holds, park-retry folds) are added to open-ended simulation times;
-/// with extreme configured values plain `+` is signed overflow (UB).
+/// kMaxTime] instead of wrapping. Delays (the park-retry fold) are added
+/// to open-ended simulation times; near the horizon plain `+` is signed
+/// overflow (UB).
 /// Inputs beyond the clamp range (e.g. a kNoTime sentinel is a caller
 /// bug, but int64 extremes in general) are clamped first, so the inner
 /// sum cannot overflow: |a| + |b| <= 2 * kMaxTime < int64 max.
@@ -134,25 +134,6 @@ constexpr Ticks saturating_add(Ticks a, Ticks b) {
     return v;
   };
   return Ticks{clamp(clamp(a.count()) + clamp(b.count()))};
-}
-
-/// Saturating scaling of ticks by a dimensionless integer, clamped to
-/// [-kMaxTime, kMaxTime] (see saturating_add). Overflow is detected on
-/// unsigned magnitudes before multiplying, so no intermediate signed
-/// overflow is possible — int64 min included.
-constexpr Ticks saturating_mul(Ticks a, std::int64_t k) {
-  if (a.count() == 0 || k == 0) return Ticks{0};
-  const bool negative = (a.count() < 0) != (k < 0);
-  const auto magnitude = [](std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
-    return v < 0 ? std::uint64_t{0} - u : u;
-  };
-  const std::uint64_t limit = static_cast<std::uint64_t>(kMaxTime.count());
-  const std::uint64_t ma = magnitude(a.count());
-  const std::uint64_t mk = magnitude(k);
-  if (ma > limit / mk) return negative ? -kMaxTime : kMaxTime;
-  const auto product = static_cast<std::int64_t>(ma * mk);
-  return Ticks{negative ? -product : product};
 }
 
 /// Ceiling division of a non-negative tick quantity by a positive

@@ -3,9 +3,9 @@
 //
 // Every reschedule() appends one InvocationRecord saying what produced
 // the plan — the primary CP solve, the EDF fallback scheduler after an
-// aborted solve, a backpressure short-circuit, or nothing at all (idle /
-// everything parked) — plus how many CP attempts ran and how much wall
-// clock they burned. The ledger is what makes degraded operation
+// aborted solve, the incremental scope's empty-dirty republish, or
+// nothing at all (idle / everything parked) — plus how many CP attempts
+// ran and how much wall clock they burned. The ledger is what makes degraded operation
 // observable: a run that silently fell back on every invocation would
 // otherwise look identical to a healthy one in the O/N/T/P metrics.
 #pragma once
@@ -24,7 +24,7 @@ enum class InvocationOutcome : std::uint8_t {
   kCpPrimary,  ///< the primary CP solve (healthy path)
   kFallback,   ///< the EDF fallback scheduler's plan was published (degraded)
   kParked,     ///< nothing schedulable: every live job parked (degraded)
-  kSkipped,    ///< backpressure short-circuit: previous plan republished
+  kSkipped,    ///< incremental scope, empty dirty set: plan republished
   kIdle,       ///< no live work at all
 };
 
@@ -76,9 +76,6 @@ struct DegradationCounts {
   std::uint64_t idle = 0;
   std::uint64_t solve_attempts = 0;
   double solve_wall_seconds = 0.0;
-  /// Submissions the RM deferred under backpressure (filled by the RM,
-  /// not derived from records — see MrcpRm::degradation_counts()).
-  std::uint64_t jobs_backpressured = 0;
 
   std::uint64_t invocations() const {
     return primary + fallback + parked + skipped + idle;

@@ -17,7 +17,8 @@ namespace {
 // v4: plans list their parked (job, task) pairs instead of counting them.
 // v5: invocation outcomes lose kCpRetry (the retry rungs were removed),
 //     which shifts every later outcome value down by one.
-constexpr std::uint8_t kFormatVersion = 5;
+// v6: stats drop jobs_backpressured (arrival backpressure was removed).
+constexpr std::uint8_t kFormatVersion = 6;
 
 void check_version(io::Decoder& dec, const char* what) {
   const std::uint8_t version = dec.u8();
@@ -191,7 +192,6 @@ void encode_mrcp_stats(io::Encoder& enc, const MrcpStats& stats) {
   enc.u64(stats.tasks_reset_by_failure);
   enc.u64(stats.solve_attempts);
   enc.u64(stats.fallback_plans);
-  enc.u64(stats.jobs_backpressured);
   enc.u64(stats.jobs_parked);
   enc.f64(stats.solve_wall_seconds);
   enc.u64(stats.dirty_promotions);
@@ -213,7 +213,6 @@ MrcpStats decode_mrcp_stats(io::Decoder& dec) {
   stats.tasks_reset_by_failure = dec.u64();
   stats.solve_attempts = dec.u64();
   stats.fallback_plans = dec.u64();
-  stats.jobs_backpressured = dec.u64();
   stats.jobs_parked = dec.u64();
   stats.solve_wall_seconds = dec.f64();
   stats.dirty_promotions = dec.u64();

@@ -75,7 +75,7 @@ DegradationLedger decode_ledger(io::Decoder& dec);
 
 enum class JournalEventType : std::uint8_t {
   kSubmit = 1,        ///< job arrived at the RM
-  kRelease = 2,       ///< deferred/backpressured job released into the model
+  kRelease = 2,       ///< deferred job released into the model
   kCompletion = 3,    ///< job fully completed (swept by the RM)
   kResourceDown = 4,  ///< resource failed
   kResourceUp = 5,    ///< resource repaired

@@ -14,6 +14,13 @@
 
 namespace mrcp {
 
+namespace {
+/// A parked (currently unplaceable) job is retried this long after the
+/// invocation that parked it, via next_deferred_release(), in addition to
+/// the reschedule every repair event triggers anyway.
+constexpr Time kParkRetryDelay = seconds_to_ticks(std::int64_t{5});
+}  // namespace
+
 MrcpRm::MrcpRm(Cluster cluster, MrcpConfig config)
     : cluster_(std::move(cluster)), config_(std::move(config)) {
   MRCP_CHECK(cluster_.size() >= 1);
@@ -28,7 +35,6 @@ std::vector<PlannedTask> MrcpRm::handle_resource_down(ResourceId resource,
   MRCP_CHECK_MSG(down_[ri] == 0, "resource failed twice without repair");
   down_[ri] = 1;
   ++stats_.resource_down_events;
-  dirty_ = true;
   if (journal_ != nullptr) {
     journal_append(encode_resource_down_event(resource, now));
   }
@@ -72,7 +78,6 @@ void MrcpRm::handle_resource_up(ResourceId resource, Time now) {
   MRCP_CHECK_MSG(down_[ri] != 0, "repair of a resource that is not down");
   down_[ri] = 0;
   ++stats_.resource_up_events;
-  dirty_ = true;
   if (journal_ != nullptr) {
     journal_append(encode_resource_up_event(resource, now));
   }
@@ -96,34 +101,17 @@ void MrcpRm::submit(const Job& job, Time now) {
     deferred_.emplace(job.earliest_start - config_.deferral_window, job);
     return;
   }
-  // Overload backpressure (docs/degraded_mode.md): while invocations run
-  // degraded, hold new arrivals in the deferral queue — a streak-scaled
-  // delay lets a burst amortize into one recovery solve instead of
-  // triggering a doomed full re-solve per arrival. Never taken on the
-  // healthy path (streak 0), so default behaviour is unchanged.
-  if (config_.degrade_backpressure && degraded_streak_ > 0) {
-    // Saturating fold: an extreme configured hold (or a hold near the
-    // time horizon) clamps to kMaxTime instead of wrapping into the past.
-    const Time hold = saturating_mul(
-        config_.backpressure_hold,
-        static_cast<std::int64_t>(std::min<std::uint64_t>(degraded_streak_, 8)));
-    deferred_.emplace(saturating_add(now, hold), job);
-    ++stats_.jobs_backpressured;
-    return;
-  }
   JobState st;
   st.job = job;
   st.completed.assign(job.num_tasks(), 0);
   st.assignments.assign(job.num_tasks(), Assignment{});
   dirty_jobs_.insert(job.id);
   active_.emplace(job.id, std::move(st));
-  dirty_ = true;
 }
 
 void MrcpRm::mark_dirty(JobId id) {
   MRCP_CHECK_MSG(active_.count(id) != 0, "mark_dirty of a non-active job");
   dirty_jobs_.insert(id);
-  dirty_ = true;
 }
 
 Time MrcpRm::next_deferred_release() const {
@@ -146,7 +134,6 @@ void MrcpRm::release_deferred(Time now) {
     const JobId id = st.job.id;
     dirty_jobs_.insert(id);
     active_.emplace(id, std::move(st));
-    dirty_ = true;
   }
 }
 
@@ -181,9 +168,6 @@ void MrcpRm::sweep_completed(Time now) {
       // only got freer), so completion dirties nothing else.
       dirty_jobs_.erase(it->first);
       it = active_.erase(it);
-      // The live set shrank: a degraded-streak skip must not republish
-      // the stale plan past this point.
-      dirty_ = true;
     } else {
       ++it;
     }
@@ -438,12 +422,6 @@ void MrcpRm::park_unplaceable(std::vector<LiveJob>& live, Time now) {
   }
 }
 
-DegradationCounts MrcpRm::degradation_counts() const {
-  DegradationCounts counts = ledger_.counts();
-  counts.jobs_backpressured = stats_.jobs_backpressured;
-  return counts;
-}
-
 const Plan& MrcpRm::reschedule(Time now) {
   Stopwatch timer;
   ++stats_.invocations;
@@ -480,16 +458,6 @@ const Plan& MrcpRm::reschedule(Time now) {
   // starve parked work.
   dirty_jobs_.insert(parked_.begin(), parked_.end());
 
-  // Backpressure short-circuit: while degraded, an invocation whose live
-  // set did not change since the last full pass (arrivals were
-  // backpressure-deferred, nothing completed early, no fault activity)
-  // republishes the current plan instead of burning another doomed
-  // solve. Gated on the streak, so the healthy path never takes it.
-  if (degraded_streak_ > 0 && !dirty_ && parked_.empty()) {
-    rec.outcome = InvocationOutcome::kSkipped;
-    return finish();
-  }
-
   // Fast path: an empty dirty set means every unstarted task of every
   // active job still holds a sound assignment — the current plan is
   // re-published unchanged (a repair with nothing parked lands here:
@@ -500,7 +468,6 @@ const Plan& MrcpRm::reschedule(Time now) {
     rec.outcome = InvocationOutcome::kSkipped;
     return finish();
   }
-  dirty_ = false;
   park_retry_at_ = kNoTime;
 
   Stopwatch stage;
@@ -694,14 +661,10 @@ const Plan& MrcpRm::reschedule(Time now) {
   dirty_jobs_.clear();
 
   rec.outcome = outcome;
-  const bool degraded = outcome == InvocationOutcome::kFallback ||
-                        outcome == InvocationOutcome::kParked ||
-                        !parked_.empty();
-  degraded_streak_ = degraded ? degraded_streak_ + 1 : 0;
   if (!parked_.empty()) {
-    // Saturating: a park_retry_delay near the horizon pins the retry at
-    // kMaxTime instead of wrapping negative (and so never waking up).
-    park_retry_at_ = saturating_add(now, config_.park_retry_delay);
+    // Saturating: a park near the horizon pins the retry at kMaxTime
+    // instead of wrapping negative (and so never waking up).
+    park_retry_at_ = saturating_add(now, kParkRetryDelay);
     if (journal_ != nullptr) {
       journal_append(encode_park_retry_event(park_retry_at_, parked_));
     }
@@ -760,8 +723,9 @@ void MrcpRm::journal_append(const std::string& payload) {
 }
 
 namespace {
-// Version 2 dropped the model-cache fingerprint that closed version 1.
-constexpr std::uint8_t kRmStateVersion = 2;
+// Version 2 dropped the model-cache fingerprint that closed version 1;
+// version 3 dropped the degraded streak and the live-set-changed flag.
+constexpr std::uint8_t kRmStateVersion = 3;
 }  // namespace
 
 std::string MrcpRm::encode_state() const {
@@ -791,8 +755,6 @@ std::string MrcpRm::encode_state() const {
   enc.u32(static_cast<std::uint32_t>(parked_.size()));
   for (const JobId id : parked_) enc.i64(id);
   enc.ticks(park_retry_at_);
-  enc.u64(degraded_streak_);
-  enc.boolean(dirty_);
   encode_ledger(enc, ledger_);
   enc.u32(static_cast<std::uint32_t>(dirty_jobs_.size()));
   for (const JobId id : dirty_jobs_) enc.i64(id);
@@ -855,8 +817,6 @@ bool MrcpRm::restore_state(std::string_view state, std::string* error) {
     parked.insert(static_cast<JobId>(dec.i64()));
   }
   const Time park_retry_at = dec.ticks();
-  const std::uint64_t degraded_streak = dec.u64();
-  const bool dirty = dec.boolean();
   DegradationLedger ledger = decode_ledger(dec);
   std::set<JobId> dirty_jobs;
   const std::uint32_t num_dirty = dec.u32();
@@ -882,8 +842,6 @@ bool MrcpRm::restore_state(std::string_view state, std::string* error) {
   stats_ = stats;
   parked_ = std::move(parked);
   park_retry_at_ = park_retry_at;
-  degraded_streak_ = degraded_streak;
-  dirty_ = dirty;
   ledger_ = std::move(ledger);
   dirty_jobs_ = std::move(dirty_jobs);
   return true;

@@ -57,10 +57,9 @@ enum class ReplanScope {
   /// re-scheduled for maximum flexibility — every active job is dirty.
   kAllUnstarted,
   /// Incremental rescheduling (docs/incremental.md): the RM tracks the
-  /// set of jobs touched since the last solve — arrivals, deferral and
-  /// backpressure releases, fault-reset assignments, parked work — and
-  /// re-solves only those against a frozen boundary of untouched
-  /// assignments.
+  /// set of jobs touched since the last solve — arrivals, deferral
+  /// releases, fault-reset assignments, parked work — and re-solves only
+  /// those against a frozen boundary of untouched assignments.
   kDirtyOnly,
 };
 
@@ -77,29 +76,14 @@ struct MrcpConfig {
   Time deferral_window;
 
   /// CP solver budgets (per invocation). The solve runs in the calling
-  /// thread.
+  /// thread under a hard watchdog of 64x solve.time_limit_s; when it
+  /// expires before any descent completes, the invocation publishes the
+  /// deterministic EDF fallback scheduler's plan instead
+  /// (docs/degraded_mode.md).
   cp::SolveParams solve;
 
   /// Re-validate every published plan (slow; for tests/debugging).
   bool validate_plans = false;
-
-  // ---- Graceful degradation (docs/degraded_mode.md) ----
-  // A CP solve gets a hard watchdog of 64x solve.time_limit_s; when it
-  // expires before any descent completes, the invocation publishes the
-  // deterministic EDF fallback scheduler's plan instead.
-
-  /// Backpressure: while invocations run degraded, newly submitted jobs
-  /// are held in the deferral queue (hold scales with the degraded
-  /// streak) so a burst amortizes into one recovery solve instead of
-  /// thrashing a full re-solve per arrival.
-  bool degrade_backpressure = true;
-  /// Base hold per degraded-streak step (10 s); the applied hold is
-  /// min(streak, 8) * this.
-  Time backpressure_hold = seconds_to_ticks(std::int64_t{10});
-  /// A parked (currently unplaceable) job is retried 5 s later via
-  /// next_deferred_release(), in addition to the reschedule every repair
-  /// event triggers anyway.
-  Time park_retry_delay = seconds_to_ticks(std::int64_t{5});
 };
 
 struct MrcpStats {
@@ -115,11 +99,10 @@ struct MrcpStats {
   std::uint64_t resource_up_events = 0;
   /// Assignments reset by handle_resource_down (killed + unstarted).
   std::uint64_t tasks_reset_by_failure = 0;
-  std::uint64_t solve_attempts = 0;      ///< cp::solve calls
-  std::uint64_t fallback_plans = 0;      ///< invocations resolved by the EDF fallback
-  std::uint64_t jobs_backpressured = 0;  ///< submissions deferred by backpressure
-  std::uint64_t jobs_parked = 0;         ///< job-epochs parked as unplaceable
-  double solve_wall_seconds = 0.0;       ///< wall clock inside cp::solve
+  std::uint64_t solve_attempts = 0;  ///< cp::solve calls
+  std::uint64_t fallback_plans = 0;  ///< invocations resolved by the EDF fallback
+  std::uint64_t jobs_parked = 0;     ///< job-epochs parked as unplaceable
+  double solve_wall_seconds = 0.0;   ///< wall clock inside cp::solve
   // ---- Incremental mode (docs/incremental.md) ----
   /// Always 0: the persistent model cache and the previous-plan warm
   /// start were removed (docs/incremental.md). Kept so existing readers
@@ -173,8 +156,8 @@ class MrcpRm {
   const Plan& current_plan() const { return plan_; }
   const Cluster& cluster() const { return cluster_; }
 
-  /// Earliest time a deferred job becomes eligible; kNoTime when the
-  /// deferral queue is empty.
+  /// Earliest time a deferred job becomes eligible or parked work is
+  /// retried; kNoTime when neither is pending.
   Time next_deferred_release() const;
 
   /// Jobs currently known to the RM (active + deferred), for testing.
@@ -191,9 +174,10 @@ class MrcpRm {
 
   /// Per-invocation degraded-mode attribution (docs/degraded_mode.md).
   const DegradationLedger& ledger() const { return ledger_; }
-  /// Ledger counters plus the RM-side backpressure counter, ready to
-  /// embed in sim::SimMetrics.
-  DegradationCounts degradation_counts() const;
+  /// The ledger's counters, ready to embed in sim::SimMetrics.
+  const DegradationCounts& degradation_counts() const {
+    return ledger_.counts();
+  }
 
   // ---- Durability (docs/crash_recovery.md) ----
 
@@ -270,21 +254,15 @@ class MrcpRm {
   // ---- Degraded-mode state (docs/degraded_mode.md) ----
   std::set<JobId> parked_;       ///< jobs with unplaced tasks this epoch
   Time park_retry_at_ = kNoTime; ///< next parked-work retry wakeup
-  std::uint64_t degraded_streak_ = 0;  ///< consecutive degraded invocations
-  /// Live-set changed since the last full solve (arrival, release,
-  /// failure, repair)? While degraded, an unchanged set lets
-  /// reschedule() republish instead of re-solving (backpressure
-  /// short-circuit); on the healthy path (streak 0) it is never read.
-  bool dirty_ = true;
   DegradationLedger ledger_;
 
   // ---- Incremental-mode state (docs/incremental.md) ----
 
-  /// Jobs touched since the last solve: arrivals, deferral/backpressure
-  /// releases, assignments reset by failures, and (folded in at every
-  /// invocation) parked jobs. Only these are re-solved; everything else
-  /// is frozen boundary. kAllUnstarted adds every active job at each
-  /// invocation, which leaves the boundary empty.
+  /// Jobs touched since the last solve: arrivals, deferral releases,
+  /// assignments reset by failures, and (folded in at every invocation)
+  /// parked jobs. Only these are re-solved; everything else is frozen
+  /// boundary. kAllUnstarted adds every active job at each invocation,
+  /// which leaves the boundary empty.
   std::set<JobId> dirty_jobs_;
 
   /// Write-ahead journal; null (the default) disables all journaling.

@@ -39,19 +39,20 @@ Time Job::max_reduce_time() const { return max_time(reduce_tasks); }
 Time lpt_makespan(std::vector<Time> durations, int machines) {
   MRCP_CHECK(machines >= 1);
   if (durations.empty()) return Time{0};
+  // A machine per task: LPT gives every task its own machine.
+  if (durations.size() <= static_cast<std::size_t>(machines)) {
+    return *std::max_element(durations.begin(), durations.end());
+  }
   std::sort(durations.begin(), durations.end(), std::greater<>());
   // min-heap of machine finish times
-  std::priority_queue<Time, std::vector<Time>, std::greater<>> finish;
-  for (int i = 0; i < machines; ++i) finish.push(Time{0});
-  for (Time d : durations) {
-    Time earliest = finish.top();
-    finish.pop();
-    finish.push(earliest + d);
-  }
+  std::priority_queue<Time, std::vector<Time>, std::greater<>> finish(
+      std::greater<>{}, std::vector<Time>(static_cast<std::size_t>(machines)));
   Time makespan{};
-  while (!finish.empty()) {
-    makespan = finish.top();
+  for (Time d : durations) {
+    const Time end = finish.top() + d;
     finish.pop();
+    finish.push(end);
+    makespan = std::max(makespan, end);
   }
   return makespan;
 }

@@ -64,8 +64,6 @@ struct DurabilityOptions {
 
 struct SimOptions {
   bool validate_execution = true;
-  /// Also re-validate every published plan inside the RM (slower).
-  bool validate_plans = false;
   /// Fault injection (resource failures, stragglers). Defaults to all
   /// knobs off, in which case both drivers behave bit-identically to a
   /// fault-free build. Both drivers see the same fault trace for a given

@@ -77,12 +77,6 @@ std::vector<ExecutedTask> decode_task_list(io::Decoder& dec) {
   return v;
 }
 
-MrcpConfig make_rm_config(const MrcpConfig& config, const SimOptions& options) {
-  MrcpConfig rm_config = config;
-  rm_config.validate_plans = rm_config.validate_plans || options.validate_plans;
-  return rm_config;
-}
-
 /// One captured not-yet-fired event, tagged with its original DES
 /// sequence number. The resume path re-schedules all categories merged
 /// in ascending seq order, which reproduces every same-tick tie-break of
@@ -108,7 +102,7 @@ class MrcpSimDriver {
                 const SimOptions& options)
       : w_(w),
         options_(options),
-        rm_(w.cluster, make_rm_config(config, options)),
+        rm_(w.cluster, config),
         injector_(w.cluster.size(), options.faults, cluster_racks(w.cluster)) {
     metrics_.records = internal::make_records(w);
     tasks_.resize(w.jobs.size());

@@ -1,12 +1,13 @@
 // End-to-end tests of the graceful-degradation pipeline
 // (docs/degraded_mode.md): the solver watchdog and SolveStatus, the EDF
-// fallback and its ledger attribution, unplaceable-job parking, arrival
-// backpressure, and failure recovery that stays sound in degraded
-// epochs.
+// fallback and its ledger attribution, unplaceable-job parking, arrivals
+// that join the next solve while degraded, and failure recovery that
+// stays sound in degraded epochs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -90,7 +91,6 @@ TEST(SolveStatus, ExpiredWatchdogYieldsBudgetExhaustedNoSolution) {
 
 TEST(DegradedMode, TinyBudgetFallsBackAndLedgerAttributes) {
   MrcpConfig cfg = degraded_config();
-  cfg.backpressure_hold = Time{1'000};
   MrcpRm rm(Cluster::homogeneous(2, 2, 2), cfg);
 
   std::vector<Time> maps(10, Time{50});
@@ -109,23 +109,25 @@ TEST(DegradedMode, TinyBudgetFallsBackAndLedgerAttributes) {
   EXPECT_EQ(rm.ledger().counts().fallback, 1u);
   EXPECT_EQ(rm.stats().fallback_plans, 1u);
 
-  // Unchanged live set while degraded: the next invocation republishes
-  // instead of re-solving.
+  // A fallback streak does not stop the RM from solving: an unchanged
+  // live set is re-solved (and falls back again), not republished.
   rm.reschedule(Time{1});
   ASSERT_EQ(rm.ledger().records().size(), 2u);
-  EXPECT_EQ(rm.ledger().records()[1].outcome, InvocationOutcome::kSkipped);
-  EXPECT_EQ(rm.ledger().records()[1].attempts, 0);
+  EXPECT_EQ(rm.ledger().records()[1].outcome, InvocationOutcome::kFallback);
+  EXPECT_EQ(rm.ledger().records()[1].attempts, 1);
 
-  // Arrivals during a degraded streak are backpressure-deferred.
+  // An arrival during the streak is active at once and joins the next
+  // solve (paper Table 2), with nothing left in the deferral queue.
+  const std::size_t live_before = rm.ledger().records()[1].live_tasks;
   rm.submit(make_job(2, Time{2}, Time{2}, Time{3'000}, {Time{50}}, {}), Time{2});
-  EXPECT_EQ(rm.stats().jobs_backpressured, 1u);
-  EXPECT_EQ(rm.degradation_counts().jobs_backpressured, 1u);
-  EXPECT_EQ(rm.next_deferred_release(), Time{2} + cfg.backpressure_hold);
-
-  // At the hold's expiry the deferred job joins a full (dirty) pass.
-  rm.reschedule(Time{2} + cfg.backpressure_hold);
+  EXPECT_EQ(rm.next_deferred_release(), kNoTime);
+  EXPECT_EQ(rm.live_jobs(), 3u);
+  const Plan& p3 = rm.reschedule(Time{2});
   ASSERT_EQ(rm.ledger().records().size(), 3u);
   EXPECT_EQ(rm.ledger().records()[2].outcome, InvocationOutcome::kFallback);
+  EXPECT_EQ(rm.ledger().records()[2].live_tasks, live_before + 1);
+  EXPECT_TRUE(std::any_of(p3.tasks.begin(), p3.tasks.end(),
+                          [](const PlannedTask& pt) { return pt.job == 2; }));
 
   // Far in the future everything has completed: idle invocation, and
   // every invocation is attributed to exactly one outcome.
@@ -165,7 +167,19 @@ TEST(DegradedMode, BurstWorkloadWithTinyBudgetSimulatesToCompletion) {
   EXPECT_GT(d.fallback, 0u);
   EXPECT_GT(d.degraded(), 0u);
   EXPECT_EQ(d.invocations(), metrics.rm_invocations);
-  EXPECT_GT(d.jobs_backpressured, 0u);
+  // No invocation republishes a stale plan, and every arrival joins the
+  // solve at its own tick: the last arrival's invocation already models
+  // all twelve jobs' tasks, though every plan so far came from the
+  // fallback.
+  EXPECT_EQ(d.skipped, 0u);
+  std::size_t modeled_at_last_arrival = 0;
+  for (const InvocationRecord& rec : metrics.invocations) {
+    if (rec.sim_time == Time{11}) {
+      EXPECT_EQ(rec.outcome, InvocationOutcome::kFallback);
+      modeled_at_last_arrival = rec.live_tasks;
+    }
+  }
+  EXPECT_EQ(modeled_at_last_arrival, 12u * 10u);
 }
 
 TEST(DegradedMode, ZeroBudgetFaultRunsAreRepeatable) {
@@ -240,8 +254,9 @@ TEST(DegradedMode, AllResourcesDownParksAndRecovers) {
   EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kParked);
   EXPECT_EQ(rm.ledger().records().back().parked_jobs, 1u);
   EXPECT_GE(rm.stats().jobs_parked, 1u);
-  // Parked work retries on a timer even without a repair event.
-  EXPECT_EQ(rm.next_deferred_release(), Time{10} + cfg.park_retry_delay);
+  // Parked work retries on a timer (5 s) even without a repair event.
+  EXPECT_EQ(rm.next_deferred_release(),
+            Time{10} + seconds_to_ticks(std::int64_t{5}));
 
   rm.handle_resource_up(0, Time{100});
   const Plan& repaired = rm.reschedule(Time{100});
@@ -324,69 +339,75 @@ TEST(DegradedMode, MidEpochFailureDuringFallbackEpochStaysValid) {
   EXPECT_EQ(rm.stats().jobs_completed, 1u);
 }
 
-// ---- Backoff growth clamps (saturating Ticks arithmetic) ----
+// ---- An arrival next to parked work ----
 
-TEST(DegradedMode, BackpressureHoldStreakIsCappedAtEight) {
-  // Twelve consecutive degraded invocations, then an arrival: the hold
-  // must scale with min(streak, 8), not the raw streak — unbounded
-  // doubling would defer a burst past the simulation horizon.
-  MrcpConfig cfg = degraded_config();
-  cfg.backpressure_hold = Time{1000};
-  MrcpRm rm(Cluster::homogeneous(2, 1, 1), cfg);
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{10'000'000}, {Time{500'000}},
-                     {Time{100'000}}),
-            Time{0});
-  rm.reschedule(Time{0});  // tiny budget: fallback, streak = 1
-  for (int i = 1; i <= 11; ++i) {
-    // Alternate fault events so every invocation is dirty (a clean one
-    // would take the backpressure skip and leave the streak unchanged).
-    if (i % 2 == 1) {
-      rm.handle_resource_down(1, Time{i});
-    } else {
-      rm.handle_resource_up(1, Time{i});
-    }
-    rm.reschedule(Time{i});
-  }
-  // Streak is now 12; the hold still folds at the cap: 8 * 1000 ticks.
-  rm.submit(make_job(1, Time{100}, Time{100}, Time{10'000'000}, {Time{1000}},
-                     {}),
-            Time{100});
-  EXPECT_EQ(rm.next_deferred_release(), Time{100} + Time{8000});
+class ArrivalNextToParkedWork : public ::testing::TestWithParam<ReplanScope> {};
+
+TEST_P(ArrivalNextToParkedWork, JoinsThePlanAtOnce) {
+  // Job 0 is rack-local to rack 0, whose only machine fails: the job is
+  // parked. Job 1 arrives at that same instant and fits in rack 1; a
+  // parked job elsewhere must not hold it back from the plan.
+  Cluster c;
+  c.add_resource_hetero(1, 1, 0, 1000, /*rack=*/0);
+  c.add_resource_hetero(1, 1, 0, 1000, /*rack=*/1);
+  MrcpConfig cfg;
+  cfg.validate_plans = true;
+  cfg.solve.time_limit_s = 2.0;
+  cfg.replan_scope = GetParam();
+  MrcpRm rm(c, cfg);
+
+  Job local = make_job(0, Time{0}, Time{0}, Time{100'000}, {Time{100}}, {});
+  for (Task& t : local.map_tasks) t.racks = {0};
+  rm.submit(local, Time{0});
+  rm.reschedule(Time{0});
+  rm.handle_resource_down(0, Time{10});
+  const Plan& parked = rm.reschedule(Time{10});
+  ASSERT_EQ(parked.parked.size(), 1u);
+
+  rm.submit(make_job(1, Time{10}, Time{10}, Time{100'000}, {Time{100}}, {}),
+            Time{10});
+  const Plan& plan = rm.reschedule(Time{10});
+  const std::vector<std::pair<JobId, int>> only_local = {{0, 0}};
+  EXPECT_EQ(plan.parked, only_local);
+  ASSERT_EQ(plan.tasks.size(), 1u);
+  EXPECT_EQ(plan.tasks[0].job, 1);
+  EXPECT_EQ(plan.tasks[0].resource, 1);
+  // The only wakeup left is the parked job's retry, not a release of job 1.
+  EXPECT_EQ(rm.next_deferred_release(),
+            Time{10} + seconds_to_ticks(std::int64_t{5}));
 }
 
-TEST(DegradedMode, BackpressureHoldSaturatesAtTheHorizon) {
-  // An extreme configured hold clamps the release time to kMaxTime
-  // instead of wrapping into the past (which would instantly re-release
-  // the burst the hold was meant to absorb — or worse, UB).
-  MrcpConfig cfg = degraded_config();
-  cfg.backpressure_hold = kMaxTime;
-  MrcpRm rm(Cluster::homogeneous(1, 1, 1), cfg);
-  rm.submit(make_job(0, Time{0}, Time{0}, Time{10'000'000}, {Time{500'000}},
-                     {}),
-            Time{0});
-  rm.reschedule(Time{0});  // streak = 1
-  rm.submit(make_job(1, Time{5}, Time{5}, Time{10'000'000}, {Time{1000}}, {}),
-            Time{5});
-  EXPECT_EQ(rm.next_deferred_release(), kMaxTime);
-}
+INSTANTIATE_TEST_SUITE_P(BothScopes, ArrivalNextToParkedWork,
+                         ::testing::Values(ReplanScope::kAllUnstarted,
+                                           ReplanScope::kDirtyOnly),
+                         [](const auto& param_info) {
+                           return param_info.param ==
+                                          ReplanScope::kAllUnstarted
+                                      ? std::string("AllUnstarted")
+                                      : std::string("DirtyOnly");
+                         });
+
+// ---- Park-retry wakeup clamps (saturating Ticks arithmetic) ----
 
 TEST(DegradedMode, ParkRetrySaturatesAtTheHorizon) {
-  // park_retry_delay near the horizon pins the retry wakeup at kMaxTime
-  // — far future, but still ordered after `now`, so the wakeup neither
-  // wraps negative nor fires immediately in a busy loop.
+  // A park within the 5 s retry delay of the horizon pins the retry
+  // wakeup at kMaxTime — far future, but still ordered after `now`, so
+  // the wakeup neither wraps past the horizon nor fires immediately in a
+  // busy loop. The job is parked before any model is built, so nothing
+  // else computes near the horizon.
   MrcpConfig cfg;
   cfg.validate_plans = true;
   cfg.solve.time_limit_s = 2.0;
   cfg.solve.seed = 1;
-  cfg.park_retry_delay = kMaxTime;
   MrcpRm rm(Cluster::homogeneous(1, 1, 1), cfg);
+  const Time now = kMaxTime - Time{1'000};
   rm.submit(make_job(0, Time{0}, Time{0}, Time{100'000}, {Time{100}}, {}),
-            Time{0});
-  rm.handle_resource_down(0, Time{10});
-  const Plan& parked = rm.reschedule(Time{10});
+            now);
+  rm.handle_resource_down(0, now);
+  const Plan& parked = rm.reschedule(now);
   EXPECT_EQ(parked.parked.size(), 1u);
   EXPECT_EQ(rm.next_deferred_release(), kMaxTime);
-  EXPECT_GT(rm.next_deferred_release(), Time{10});
+  EXPECT_GT(rm.next_deferred_release(), now);
 }
 
 }  // namespace

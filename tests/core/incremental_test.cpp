@@ -208,12 +208,13 @@ TEST(Incremental, ParkedJobRejoinsTheDirtySetWhenItsResourceRecovers) {
   EXPECT_EQ(parked.parked.size(), 2u);
   EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kParked);
   // Parked work retries on a timer even without a repair event …
-  EXPECT_EQ(rm.next_deferred_release(), Time{10} + cfg.park_retry_delay);
+  const Time retry = Time{10} + seconds_to_ticks(std::int64_t{5});
+  EXPECT_EQ(rm.next_deferred_release(), retry);
 
   // … and a retry while the resource is still down parks again instead
   // of taking the empty-dirty fast path (the parked fold keeps the job
   // in the dirty set every invocation).
-  rm.reschedule(Time{10} + cfg.park_retry_delay);
+  rm.reschedule(retry);
   EXPECT_EQ(rm.ledger().records().back().outcome, InvocationOutcome::kParked);
 
   // The repair dirties the parked job; the next invocation re-solves it.
@@ -323,8 +324,8 @@ void run_differential(std::uint64_t seed, ReplanScope scope) {
     }
   }
   reschedule_both();
-  // Two drain passes: the first releases any backpressure-deferred jobs
-  // and plans them into its own future; the second sweeps them complete.
+  // Two drain passes: the first releases any deferred jobs and plans
+  // them into its own future; the second sweeps them complete.
   t += Time{10'000'000};
   reschedule_both();
   t += Time{10'000'000};

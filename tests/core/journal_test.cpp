@@ -114,7 +114,6 @@ MrcpStats rnd_stats(Rng& rng) {
   stats.tasks_reset_by_failure = rng();
   stats.solve_attempts = rng();
   stats.fallback_plans = rng();
-  stats.jobs_backpressured = rng();
   stats.jobs_parked = rng();
   stats.solve_wall_seconds = rnd_f64(rng);
   stats.dirty_promotions = rng();

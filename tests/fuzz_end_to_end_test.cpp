@@ -80,8 +80,9 @@ TEST_P(FuzzEndToEnd, MrcpValidatedRun) {
   const FuzzCase c = make_case(GetParam());
   sim::SimOptions opts;
   opts.validate_execution = true;
-  opts.validate_plans = true;  // every intermediate plan checked too
-  const sim::SimMetrics m = sim::simulate_mrcp(c.workload, c.config, opts);
+  MrcpConfig config = c.config;
+  config.validate_plans = true;  // every intermediate plan checked too
+  const sim::SimMetrics m = sim::simulate_mrcp(c.workload, config, opts);
   check_invariants(m, c.workload);
 }
 

@@ -40,8 +40,9 @@ TEST(Integration, SyntheticWorkloadThroughMrcp) {
   const Workload w = generate_synthetic_workload(small_synthetic(1));
   sim::SimOptions opts;
   opts.validate_execution = true;
-  opts.validate_plans = true;
-  const sim::SimMetrics m = sim::simulate_mrcp(w, sim_mrcp_config(), opts);
+  MrcpConfig config = sim_mrcp_config();
+  config.validate_plans = true;
+  const sim::SimMetrics m = sim::simulate_mrcp(w, config, opts);
   for (const sim::JobRecord& r : m.records) {
     ASSERT_TRUE(r.completed());
     EXPECT_GE(r.completion, r.earliest_start);

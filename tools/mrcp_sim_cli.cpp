@@ -289,7 +289,6 @@ int run_simulate(const Flags& flags) {
     config.solve.time_limit_s = flags.get_double("solver-budget-s");
     config.use_separation = !flags.get_bool("no-separation");
     config.defer_future_jobs = !flags.get_bool("no-deferral");
-    config.degrade_backpressure = flags.get_bool("degrade-backpressure");
     if (flags.get_bool("incremental")) {
       config.replan_scope = ReplanScope::kDirtyOnly;
     }
@@ -387,8 +386,6 @@ int run_simulate(const Flags& flags) {
                 static_cast<unsigned long long>(d.parked),
                 static_cast<unsigned long long>(d.skipped),
                 static_cast<unsigned long long>(d.idle));
-    std::printf("  jobs backpressured = %llu\n",
-                static_cast<unsigned long long>(d.jobs_backpressured));
   }
 
   const std::string& trace_out = flags.get_string("trace-out");
@@ -435,8 +432,6 @@ int main(int argc, char** argv) {
       .add_double("solver-budget-s", 0.1, "mrcp: CP budget per invocation")
       .add_bool("no-separation", false, "mrcp: disable §V.D separation")
       .add_bool("no-deferral", false, "mrcp: disable §V.E deferral")
-      .add_bool("degrade-backpressure", true,
-                "mrcp: hold burst arrivals while running degraded")
       .add_bool("incremental", false,
                 "mrcp: dirty-set incremental rescheduling (frozen boundary "
                 "— docs/incremental.md)")
