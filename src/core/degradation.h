@@ -33,8 +33,10 @@ const char* invocation_outcome_name(InvocationOutcome outcome);
 struct InvocationRecord {
   std::uint64_t epoch = 0;  ///< plan epoch this invocation published
   Time sim_time;
-  /// cp::solve calls made: 0 = none ran, 2 = the primary solve aborted
-  /// and the anti-affinity completion search settled the fallback.
+  /// cp::solve calls made: 0 = none ran, 1 = the primary solve ran. The
+  /// value 2 no longer occurs: the fallback backtracks out of an
+  /// anti-affinity dead end itself, without a second solve. The field
+  /// keeps its place in the journal and snapshot encoding.
   int attempts = 0;
   cp::SolveStatus last_status = cp::SolveStatus::kFeasible;  ///< of last attempt
   InvocationOutcome outcome = InvocationOutcome::kIdle;
@@ -50,7 +52,7 @@ struct InvocationRecord {
   int portfolio_members_run = 0;  ///< cp::SolveStats::portfolio_members_run
   bool portfolio_stopped_at_bound = false;  ///< reached the root lower bound
   int winning_member = -1;  ///< cp::SolveStats::winning_member
-  /// cp::SolveStats::repeat_descents_skipped, summed over all attempts.
+  /// cp::SolveStats::repeat_descents_skipped of the attempt.
   std::int64_t repeat_descents_skipped = 0;
   /// Wall clock of the whole reschedule() call, up to publishing its plan
   /// (the per-call share of the paper's O).

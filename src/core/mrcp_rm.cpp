@@ -542,22 +542,18 @@ const Plan& MrcpRm::reschedule(Time now) {
     const Deadline deadline(params.time_limit_s * 64.0);
     params.hard_deadline = &deadline;
 
-    auto account = [&](const cp::SolveResult& r) {
-      ++stats_.solve_attempts;
-      ++rec.attempts;
-      rec.last_status = r.status;
-      rec.portfolio_members_run = r.stats.portfolio_members_run;
-      rec.portfolio_stopped_at_bound = r.stats.portfolio_stopped_at_bound;
-      rec.winning_member = r.stats.winning_member;
-      rec.repeat_descents_skipped += r.stats.repeat_descents_skipped;
-      rec.solve_wall_seconds += r.wall_seconds;
-      stats_.solve_wall_seconds += r.wall_seconds;
-      stats_.solver_decisions += r.stats.decisions;
-      stats_.solver_fails += r.stats.fails;
-    };
-
     cp::SolveResult result = cp::solve(built.model, params);
-    account(result);
+    ++stats_.solve_attempts;
+    rec.attempts = 1;
+    rec.last_status = result.status;
+    rec.portfolio_members_run = result.stats.portfolio_members_run;
+    rec.portfolio_stopped_at_bound = result.stats.portfolio_stopped_at_bound;
+    rec.winning_member = result.stats.winning_member;
+    rec.repeat_descents_skipped = result.stats.repeat_descents_skipped;
+    rec.solve_wall_seconds = result.wall_seconds;
+    stats_.solve_wall_seconds += result.wall_seconds;
+    stats_.solver_decisions += result.stats.decisions;
+    stats_.solver_fails += result.stats.fails;
 
     cp::Solution chosen;
     if (result.best.valid) {
@@ -565,27 +561,12 @@ const Plan& MrcpRm::reschedule(Time now) {
       chosen = std::move(result.best);
     } else {
       // The hard watchdog cut every descent short: publish the EDF
-      // fallback's plan for the same model (docs/degraded_mode.md) —
-      // deterministic, never times out.
+      // fallback's plan for the same model (docs/degraded_mode.md) — one
+      // first descent without a watchdog, deterministic, backtracking out
+      // of anti-affinity dead ends by itself.
       outcome = InvocationOutcome::kFallback;
       ++stats_.fallback_plans;
       chosen = fallback_schedule(built.model);
-      if (!chosen.valid && built.model.num_affinity_groups() > 0) {
-        // The greedy EDF pass can paint itself into a corner under
-        // anti-affinity (it never backtracks a group member off a
-        // contended host). A first-solution CP search without a hard
-        // deadline is complete — the soft budget never interrupts a
-        // descent that has no solution yet — so it settles feasibility
-        // outright.
-        cp::SolveParams complete = params;
-        complete.improvement_fails = 0;
-        complete.lns_iterations = 0;
-        complete.portfolio = {cp::JobOrdering::kEdf};
-        complete.hard_deadline = nullptr;
-        cp::SolveResult cr = cp::solve(built.model, complete);
-        account(cr);
-        chosen = std::move(cr.best);
-      }
       MRCP_CHECK_MSG(chosen.valid,
                      "fallback scheduler failed on a validated model");
     }

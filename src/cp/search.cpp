@@ -543,8 +543,9 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
     // Anti-affinity: a resource already holding a task of this group is
     // not an alternative (the branch simply never exists).
     if (t.affinity_group >= 0 && group_use(t.affinity_group, r) > 0) return;
-    level.choices.push_back(
-        Choice{r, earliest_feasible_on(r, t, est, model_.duration_on(task, r))});
+    const Time dur = model_.duration_on(task, r);
+    const Time start = earliest_feasible_on(r, t, est, dur);
+    level.choices.push_back(Choice{r, start, start + dur});
   };
   if (t.candidates.empty()) {
     for (CpResourceIndex r = 0; r < static_cast<CpResourceIndex>(model_.num_resources());
@@ -559,30 +560,40 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
   // root). Unreachable for models that pass Model::validate(), which
   // requires a capable candidate per task — kept recoverable so the
   // degraded-mode pipeline can treat it as kInfeasible.
+  level.alternatives = level.choices.size();
   if (level.choices.empty()) return;
-  std::stable_sort(level.choices.begin(), level.choices.end(),
-                   [](const Choice& a, const Choice& b) {
-                     if (a.start != b.start) return a.start < b.start;
-                     return a.resource < b.resource;
-                   });
+  // Rank by completion: on machines of different speeds a fast one free
+  // a little later beats a slow one free now. Equal ends keep the order
+  // the task lists its resources in. Only the first-ranked alternative
+  // is selected here; run() selects the next one on backtrack.
+  select_next(level, 0);
 
-  // Postponed-start branches on the earliest resource: skip past the next
-  // profile change(s). This is the "second branch" of set-times search.
+  // Postponed-start branches on the first-ranked resource: skip past the
+  // next profile change(s). This is the "second branch" of set-times
+  // search.
   const Choice best = level.choices.front();
   Profile& prof = profile(best.resource, t.phase);
-  const Time best_dur = model_.duration_on(task, best.resource);
+  const Time best_dur = best.end - best.start;
   Time from = best.start;
-  postponed_scratch_.clear();
   for (int k = 0; k < level.postpone_budget; ++k) {
     const Time event = prof.next_event_after(from);
     if (event == kMaxTime) break;
     const Time start = earliest_feasible_on(best.resource, t, event, best_dur);
     if (start <= from) break;
-    postponed_scratch_.push_back(Choice{best.resource, start});
+    level.choices.push_back(Choice{best.resource, start, start + best_dur});
     from = start;
   }
-  level.choices.insert(level.choices.end(), postponed_scratch_.begin(),
-                       postponed_scratch_.end());
+}
+
+void SetTimesSearch::select_next(Level& level, std::size_t i) {
+  const auto at = [&](std::size_t k) {
+    return level.choices.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::size_t min = i;
+  for (std::size_t k = i + 1; k < level.alternatives; ++k) {
+    if (level.choices[k].end < level.choices[min].end) min = k;
+  }
+  std::rotate(at(i), at(min), at(min + 1));
 }
 
 void SetTimesSearch::apply(CpTaskIndex task, Level& level, const Choice& choice) {
@@ -768,6 +779,9 @@ Solution SetTimesSearch::run(const SearchLimits& limits, const Solution* incumbe
       continue;
     }
 
+    if (level.next_choice > 0 && level.next_choice < level.alternatives) {
+      select_next(level, level.next_choice);
+    }
     const Choice choice = level.choices[level.next_choice++];
     apply(order_[depth], level, choice);
     ++st.decisions;

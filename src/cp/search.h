@@ -5,19 +5,23 @@
 // id, EDF, least laxity first). For the chosen task it branches on the
 // alternative (candidate resource) and on postponed start times; within a
 // branch the start is the earliest time the resource's timetable admits
-// (set-times). Lateness indicators N_j are propagated eagerly: as soon as
-// a fixed task ends after its job's deadline the job is late, and a
-// branch is pruned when the number of certainly-late jobs reaches the
-// incumbent objective (branch-and-bound on sum N_j). Jobs whose static
-// completion lower bound already exceeds their deadline are counted late
-// from the root.
+// (set-times). Alternatives are tried in order of completion on that
+// resource (start + speed-scaled duration), ties in the order the task
+// lists its resources; postponed starts go on the first-ranked one.
+// Lateness indicators N_j are propagated eagerly: as soon as a fixed task
+// ends after its job's deadline the job is late, and a branch is pruned
+// when the number of certainly-late jobs reaches the incumbent objective
+// (branch-and-bound on sum N_j). Jobs whose static completion lower bound
+// already exceeds their deadline are counted late from the root.
 //
 // The first descent (taking the first branch everywhere) is an EDF/LLF
-// list schedule, so the search is anytime: it always returns a feasible
-// schedule, improved for as long as the fail/time budget lasts. The one
-// exception is the optional hard watchdog (SearchLimits::hard_deadline),
-// which may abort even the first descent — callers that set it must be
-// prepared for an invalid result (SearchStats::aborted).
+// list schedule (with EDF ranks, FIFO order and no postponed starts it
+// is the degraded-mode fallback, core/fallback_scheduler), so the search
+// is anytime: it always returns a feasible schedule, improved for as
+// long as the fail/time budget lasts. The one exception is the optional
+// hard watchdog (SearchLimits::hard_deadline), which may abort even the
+// first descent — callers that set it must be prepared for an invalid
+// result (SearchStats::aborted).
 //
 // Root state is factored into SearchRoot: everything that depends only on
 // the Model (pinned-task replay into the timetables, the static lateness
@@ -183,14 +187,20 @@ class SetTimesSearch {
   struct Choice {
     CpResourceIndex resource;
     Time start;
+    Time end;  ///< start + duration_on(task, resource): the ranking key
   };
   struct Level {
+    /// The task's resource alternatives in the order it lists them, then
+    /// the postponed branches. Alternatives are ranked lazily by end:
+    /// only the first and those already tried are in rank order (see
+    /// select_next).
     std::vector<Choice> choices;
+    std::size_t alternatives = 0;  ///< choices[0, alternatives) are resources
     std::size_t next_choice = 0;
     int postpone_budget = 0;
     bool applied = false;
     // Undo data for the applied choice:
-    Choice applied_choice{kAnyResource, kNoTime};
+    Choice applied_choice{kAnyResource, kNoTime, kNoTime};
     Time prev_fixed_map_end;
     Time prev_fixed_completion;
     bool prev_late = false;
@@ -230,6 +240,10 @@ class SetTimesSearch {
                       static_cast<std::size_t>(r)];
   }
   void build_choices(CpTaskIndex task, Level& level);
+  /// Move the earliest-ending alternative in choices[i, alternatives) to
+  /// slot i, keeping the rest in order: repeated from i = 0 this visits
+  /// the alternatives exactly as a stable sort by end would.
+  static void select_next(Level& level, std::size_t i);
   void apply(CpTaskIndex task, Level& level, const Choice& choice);
   /// Undo the level's applied choice (B&B backtracking).
   void undo(CpTaskIndex task, Level& level);
@@ -272,7 +286,6 @@ class SetTimesSearch {
   /// cached search stops reallocating choice vectors on deep backtracks
   /// and topo buffers on reorder — the free-list the hot path needs).
   std::vector<Level> levels_;
-  std::vector<Choice> postponed_scratch_;
   std::vector<int> topo_position_;
   std::vector<int> topo_indeg_;
   std::vector<CpTaskIndex> topo_heap_;

@@ -10,9 +10,12 @@
 //
 // Any divergence here is a propagation or search soundness bug, the
 // exact class of defect that would silently bend the paper's Figs. 2-9.
+// A second check solves the same models with default parameters and
+// bounds how often they miss the optimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,6 +25,10 @@
 
 namespace mrcp::cp {
 namespace {
+
+/// Misses of the default-parameter solve on the 500 sweep models, as
+/// measured (DefaultParamsMissesAreBounded).
+constexpr int kDefaultParamsMissBound = 2;
 
 struct GeneratedModel {
   Model model;
@@ -219,6 +226,45 @@ TEST(DifferentialOracle, SolverMatchesExhaustiveEnumerationOn500Models) {
     ++compared;
   }
   EXPECT_EQ(compared, 500);
+}
+
+// The solver at production strength: default SolveParams (the budget
+// raised so it never binds and the count stays deterministic), on the
+// sweep's models and seeds. Each miss of the enumerated optimum is
+// printed with its seed and gap; the count is bounded at its measured
+// value. The thorough sweep above must stay exact; this check guards the
+// parameters the resource manager actually runs with.
+TEST(DifferentialOracle, DefaultParamsMissesAreBounded) {
+  int compared = 0;
+  int misses = 0;
+  int total_gap = 0;
+  std::uint64_t seed = 0;
+  while (compared < 500) {
+    ++seed;
+    GeneratedModel gen = generate_model(seed);
+    if (!gen.usable) continue;
+    const Model& m = gen.model;
+    const int oracle_late = audit::exhaustive_min_late(m);
+    if (oracle_late < 0) continue;
+
+    SolveParams p;
+    p.time_limit_s = 10.0;
+    p.seed = seed;
+    const SolveResult result = solve(m, p);
+    ASSERT_TRUE(result.best.valid) << "seed " << seed;
+    EXPECT_GE(result.best.num_late, oracle_late) << "seed " << seed;
+    if (result.best.num_late > oracle_late) {
+      ++misses;
+      total_gap += result.best.num_late - oracle_late;
+      std::printf("  miss: seed %llu, solver %d vs exhaustive %d (gap %d)\n",
+                  static_cast<unsigned long long>(seed), result.best.num_late,
+                  oracle_late, result.best.num_late - oracle_late);
+    }
+    ++compared;
+  }
+  std::printf("  %d of %d models missed, total gap %d\n", misses, compared,
+              total_gap);
+  EXPECT_LE(misses, kDefaultParamsMissBound);
 }
 
 }  // namespace

@@ -126,7 +126,8 @@ TEST(Postpone, FailLimitCountsPrunesNotTieDescents) {
 }
 
 TEST(Postpone, MultiResourceBranchingPrefersEarliestStart) {
-  // Two resources, one busy early: the first branch goes to the free one.
+  // Two equal-speed resources, one busy early: the first branch goes to
+  // the free one, which also completes first.
   Model m;
   m.add_resource(1, 1);
   m.add_resource(1, 1);
@@ -142,6 +143,39 @@ TEST(Postpone, MultiResourceBranchingPrefersEarliestStart) {
   const Solution sol = search.run(l, nullptr, &st);
   EXPECT_EQ(sol.placements[1].resource, 1);
   EXPECT_EQ(sol.placements[1].start, Time{0});
+}
+
+TEST(Postpone, PostponedBranchesStayOnFirstRankedResource) {
+  // Resource 0 is slow (speed 500), resource 1 fast (2000), one map slot
+  // each; a pinned task holds resource 1 over [20, 40). Job order A, B.
+  //   A: base 40 (80 slow, 20 fast), deadline 60 — late on resource 0.
+  //   B: base 40, deadline 30 — needs resource 1's gap [0, 20).
+  // A's alternatives start at 0 on both, end 80 slow and 20 fast, so the
+  // fast machine ranks first and A's postponed branch skips it to 40:
+  // A on [40, 60), B on [0, 20), nobody late. Postponing on resource 0
+  // instead finds no event to skip to, and every schedule that puts A
+  // at 0 makes one job late.
+  Model m;
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/500);
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/2000);
+  const CpJobIndex filler = m.add_job(Time{0}, Time{100000}, 9);
+  const CpTaskIndex pinned = m.add_task(filler, Phase::kMap, Time{40});
+  m.pin_task(pinned, 1, Time{20});
+  const CpJobIndex a = m.add_job(Time{0}, Time{60}, 0);
+  const CpTaskIndex ta = m.add_task(a, Phase::kMap, Time{40});
+  const CpJobIndex b = m.add_job(Time{0}, Time{30}, 1);
+  const CpTaskIndex tb = m.add_task(b, Phase::kMap, Time{40});
+
+  SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kJobId));
+  SearchStats st;
+  const Solution sol = search.run(limits_with(10000, 1), nullptr, &st);
+  ASSERT_TRUE(sol.valid);
+  EXPECT_EQ(validate_solution(m, sol), "");
+  EXPECT_EQ(sol.num_late, 0);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(ta)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(ta)].start, Time{40});
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(tb)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(tb)].start, Time{0});
 }
 
 }  // namespace

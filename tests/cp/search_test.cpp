@@ -273,6 +273,61 @@ TEST(SetTimes, StatsAreAccountedFor) {
   EXPECT_GE(stats.solutions, 1);
 }
 
+// Value ordering: a task's alternatives are ranked by completion on each
+// resource (start + speed-scaled duration), not by start.
+TEST(SetTimes, FirstDescentPrefersFastMachineFreeSlightlyLater) {
+  // Resource 0 is slow and free now; resource 1 runs twice as fast but a
+  // pinned task holds it until 10. The map takes 200 on resource 0 (end
+  // 200) and 50 on resource 1 (end 60): the fast machine wins.
+  Model m;
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/500);
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/2000);
+  const CpJobIndex filler = m.add_job(Time{0}, Time{10000}, 9);
+  const CpTaskIndex pinned = m.add_task(filler, Phase::kMap, Time{20});
+  m.pin_task(pinned, 1, Time{0});
+  const CpJobIndex j = m.add_job(Time{0}, Time{10000}, 0);
+  const CpTaskIndex t = m.add_task(j, Phase::kMap, Time{100});
+  SearchLimits limits = default_limits();
+  limits.stop_after_first_solution = true;
+  const Solution sol = run_search(m, JobOrdering::kEdf, limits);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].resource, 1);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].start, Time{10});
+}
+
+TEST(SetTimes, EqualCompletionsFollowCandidateListOrder) {
+  // Three identical idle resources: every alternative ends at 50, so the
+  // first one the task lists wins, not the lowest index.
+  Model m;
+  for (int r = 0; r < 3; ++r) m.add_resource(1, 1);
+  const CpJobIndex j = m.add_job(Time{0}, Time{10000}, 0);
+  const CpTaskIndex t = m.add_task(j, Phase::kMap, Time{50});
+  m.restrict_candidates(t, {2, 0, 1});
+  SearchLimits limits = default_limits();
+  limits.stop_after_first_solution = true;
+  const Solution sol = run_search(m, JobOrdering::kEdf, limits);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].resource, 2);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].start, Time{0});
+}
+
+TEST(SetTimes, EqualCompletionsAcrossSpeedsFollowIndexOrder) {
+  // Resource 0 is slow and free now (end 0 + 100); resource 1 is twice
+  // as fast and free at 50 (end 50 + 50). Without a candidate list the
+  // tie goes to index order: resource 0, started first.
+  Model m;
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/1000);
+  m.add_resource(1, 1, /*net_capacity=*/0, /*speed_permille=*/2000);
+  const CpJobIndex filler = m.add_job(Time{0}, Time{10000}, 9);
+  const CpTaskIndex pinned = m.add_task(filler, Phase::kMap, Time{100});
+  m.pin_task(pinned, 1, Time{0});
+  const CpJobIndex j = m.add_job(Time{0}, Time{10000}, 0);
+  const CpTaskIndex t = m.add_task(j, Phase::kMap, Time{100});
+  SearchLimits limits = default_limits();
+  limits.stop_after_first_solution = true;
+  const Solution sol = run_search(m, JobOrdering::kEdf, limits);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].resource, 0);
+  EXPECT_EQ(sol.placements[static_cast<std::size_t>(t)].start, Time{0});
+}
+
 TEST(JobOrderingName, Names) {
   EXPECT_STREQ(job_ordering_name(JobOrdering::kEdf), "edf");
   EXPECT_STREQ(job_ordering_name(JobOrdering::kJobId), "job-id");

@@ -372,7 +372,7 @@ int run_simulate(const Flags& flags) {
       matchmake_s += rec.matchmake_wall_seconds;
       publish_s += rec.publish_wall_seconds;
     }
-    std::printf("  repeat descents skipped = %lld\n",
+    std::printf("  repeat descents not run = %lld\n",
                 static_cast<long long>(repeats));
     std::printf("  collect wall = %.3f s, build wall = %.3f s\n", collect_s,
                 build_s);
