@@ -78,8 +78,10 @@ struct SearchStats {
   std::int64_t decisions = 0;
   std::int64_t fails = 0;
   std::int64_t solutions = 0;
-  bool exhausted = false;  ///< search space fully explored (proof of optimality)
-  bool aborted = false;    ///< hard deadline expired before completion
+  /// The whole tree was explored. The tree is one job order with a
+  /// bounded number of postponed starts, so this is no optimality proof.
+  bool exhausted = false;
+  bool aborted = false;  ///< hard deadline expired before completion
 };
 
 /// Immutable per-model root state shared by every SetTimesSearch over the

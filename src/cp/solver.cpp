@@ -263,7 +263,6 @@ SolveResult solve(const Model& model, const SolveParams& params) {
     SearchStats st;
     Solution sol = s.run(limits, &best, &st);
     account(st);
-    if (st.exhausted) stats.proved_optimal = true;
     if (sol.better_than(best)) best = sol;
   }
   stats.improvement_seconds =
@@ -346,7 +345,9 @@ SolveResult solve(const Model& model, const SolveParams& params) {
       }
     }
   })
-  if (best.valid && best.num_late == 0) stats.proved_optimal = true;
+  // Zero late jobs and the root lower bound are the only proofs; an
+  // exhausted B&B tree is none (SolveStats::proved_optimal).
+  stats.proved_optimal = best.valid && best.num_late <= lower_bound;
   stats.solve_seconds = timer.elapsed_seconds();
   result.wall_seconds = stats.solve_seconds;
   if (best.valid) {

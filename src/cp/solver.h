@@ -70,7 +70,7 @@ struct SolveParams {
 
 /// What the solver can promise about its result.
 enum class SolveStatus : std::uint8_t {
-  kOptimal,          ///< proved optimal (zero late jobs or exhausted search)
+  kOptimal,          ///< proved optimal: zero late jobs, or at the root bound
   kFeasible,         ///< best-effort schedule found within the budget
   kBudgetExhausted,  ///< hard deadline expired before any solution existed
   kInfeasible,       ///< search space exhausted without a solution
@@ -106,8 +106,11 @@ struct SolveStats {
   /// The portfolio incumbent reached
   /// SearchRoot::late_count(), the root lower bound on late jobs.
   bool portfolio_stopped_at_bound = false;
-  bool proved_optimal = false;  ///< zero late jobs, or search exhausted
-  bool aborted = false;         ///< some search hit the hard deadline
+  /// `best` has zero late jobs, or no more than SearchRoot::late_count()
+  /// (the jobs late in every schedule). An exhausted B&B is no proof: its
+  /// tree is one job order with a bounded number of postponed starts.
+  bool proved_optimal = false;
+  bool aborted = false;  ///< some search hit the hard deadline
 };
 
 struct SolveResult {

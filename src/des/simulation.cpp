@@ -1,31 +1,32 @@
 #include "des/simulation.h"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 namespace mrcp::des {
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
-std::uint64_t EventHandle::seq() const {
-  MRCP_CHECK(state_ != nullptr);
-  return state_->seq;
-}
-
-Time EventHandle::time() const {
-  MRCP_CHECK(state_ != nullptr);
-  return state_->time;
-}
 
 EventHandle Simulation::schedule_at(Time at, std::function<void()> fn) {
   MRCP_CHECK_MSG(at >= now_, "cannot schedule event in the past");
   MRCP_CHECK(fn != nullptr);
-  auto state = std::make_shared<EventHandle::State>();
-  state->time = at;
-  state->seq = next_seq_;
-  queue_.push(Event{at, next_seq_++, std::move(fn), state});
-  ++pending_count_;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    MRCP_CHECK(slots_.size() < std::numeric_limits<std::uint32_t>::max());
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  Slot& s = slots_[slot];
+  s.seq = seq;
+  s.live = true;
+  s.fn = std::move(fn);
+  heap_.push_back(Entry{at, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++stats_.scheduled;
-  return EventHandle{std::move(state)};
+  return EventHandle{this, slot, seq, at};
 }
 
 EventHandle Simulation::schedule_after(Time delay, std::function<void()> fn) {
@@ -33,32 +34,37 @@ EventHandle Simulation::schedule_after(Time delay, std::function<void()> fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+void Simulation::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.live = false;
+  s.fn = nullptr;
+  free_slots_.push_back(slot);
+}
+
 bool Simulation::cancel(EventHandle& handle) {
   if (!handle.pending()) return false;
-  handle.state_->cancelled = true;
-  --pending_count_;
+  MRCP_CHECK_MSG(handle.sim_ == this, "handle of another simulation");
+  release(handle.slot_);
   ++stats_.cancelled;
   return true;
 }
 
 bool Simulation::step(Time until) {
-  while (!queue_.empty()) {
-    if (queue_.top().time > until) return false;
-    // Move the event out of the heap. top() is const; the copy of the
-    // std::function is unavoidable with std::priority_queue, but events
-    // carry small closures so this is cheap.
-    Event ev = queue_.top();
-    queue_.pop();
-    if (ev.state->cancelled) {
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    if (top.time > until) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (!is_pending(top.slot, top.seq)) {
       ++stats_.skipped_cancelled;
       continue;
     }
-    MRCP_DCHECK(ev.time >= now_);
-    now_ = ev.time;
-    ev.state->fired = true;
-    --pending_count_;
+    MRCP_DCHECK(top.time >= now_);
+    now_ = top.time;
+    std::function<void()> fn = std::move(slots_[top.slot].fn);
+    release(top.slot);
     ++stats_.fired;
-    ev.fn();
+    fn();
     return true;
   }
   return false;

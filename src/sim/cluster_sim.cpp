@@ -1,6 +1,7 @@
 #include "sim/cluster_sim.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <utility>
@@ -186,11 +187,14 @@ SimMetrics simulate_minedf(const Workload& workload,
   des::Simulation des;
   FaultInjector injector(w.cluster.size(), faults, cluster_racks(w.cluster));
   metrics.records = make_records(w);
-  std::vector<ExecutedTask> executed;
   std::vector<std::size_t> remaining(w.jobs.size());
+  std::size_t total_tasks = 0;
   for (const Job& job : w.jobs) {
     remaining[static_cast<std::size_t>(job.id)] = job.num_tasks();
+    total_tasks += job.num_tasks();
   }
+  std::vector<ExecutedTask> executed;
+  executed.reserve(total_tasks);
   std::size_t jobs_left = w.jobs.size();
 
   baseline::MinEdfWcScheduler* sched_ptr = nullptr;
@@ -207,7 +211,9 @@ SimMetrics simulate_minedf(const Workload& workload,
   };
   std::vector<SlotState> map_slots;
   std::vector<SlotState> reduce_slots;
+  int top_speed = 0;
   for (const Resource& r : w.cluster.resources()) {
+    top_speed = std::max(top_speed, r.speed_permille);
     for (int s = 0; s < r.map_capacity; ++s) map_slots.push_back({r.id, Time{0}, false});
     for (int s = 0; s < r.reduce_capacity; ++s) {
       reduce_slots.push_back({r.id, Time{0}, false});
@@ -218,16 +224,35 @@ SimMetrics simulate_minedf(const Workload& workload,
   // release their entry; completions never do.
   std::map<std::pair<JobId, int>, std::vector<ResourceId>> group_taken;
 
-  // Running tasks with the slot they occupy, for failure kills.
+  // Running attempts with the slot they occupy, for failure kills. A
+  // record is reused through a free list once its attempt ends or is
+  // killed, and an end event captures only its record's index, so that
+  // callback fits std::function's inline buffer: a launch allocates
+  // nothing. Records are not keyed by slot: MinEDF-WC may relaunch a slot
+  // at the tick its occupant ends, before that occupant's end event fires.
   struct RunningTask {
+    JobId job = kNoJob;  ///< kNoJob: the record is free
+    int task = -1;
     bool is_map = false;
     std::size_t slot = 0;
     Time start = kNoTime;
     Time end = kNoTime;
     des::EventHandle end_event;
   };
-  std::map<std::pair<JobId, int>, RunningTask> running;
+  std::vector<RunningTask> running;
+  std::vector<std::uint32_t> free_running;
+  auto slot_of = [&](const RunningTask& rt) -> SlotState& {
+    return (rt.is_map ? map_slots : reduce_slots)[rt.slot];
+  };
+  auto release_running = [&](std::uint32_t idx) {
+    running[idx].job = kNoJob;
+    free_running.push_back(idx);
+  };
 
+  auto on_eligible = [&] {
+    eligibility_at = kNoTime;
+    sched_ptr->wake(des.now());
+  };
   auto update_eligibility_wakeup = [&]() {
     if (sched_ptr == nullptr) return;
     const Time next = sched_ptr->next_eligible_time(des.now());
@@ -235,10 +260,30 @@ SimMetrics simulate_minedf(const Workload& workload,
     if (eligibility_wakeup.pending()) des.cancel(eligibility_wakeup);
     eligibility_at = next;
     if (next == kNoTime) return;
-    eligibility_wakeup = des.schedule_at(std::max(next, des.now()), [&] {
-      eligibility_at = kNoTime;
-      sched_ptr->wake(des.now());
-    });
+    eligibility_wakeup = des.schedule_at(std::max(next, des.now()),
+                                         [&on_eligible] { on_eligible(); });
+  };
+
+  auto on_end = [&](std::uint32_t idx) {
+    const RunningTask& rt = running[idx];
+    const JobId job_id = rt.job;
+    const int task_index = rt.task;
+    executed.push_back(ExecutedTask{job_id, task_index, slot_of(rt).resource,
+                                    rt.start, rt.end});
+    release_running(idx);
+    const auto ji = static_cast<std::size_t>(job_id);
+    MRCP_CHECK(remaining[ji] > 0);
+    if (--remaining[ji] == 0) {
+      JobRecord& record = metrics.records[ji];
+      finish_job_record(record, des.now());
+      if (record.late && record.failure_affected) {
+        ++metrics.failure.jobs_late_failure_affected;
+      }
+      MRCP_CHECK(jobs_left > 0);
+      if (--jobs_left == 0) injector.stop(des);
+    }
+    sched_ptr->on_task_finished(job_id, task_index, des.now());
+    update_eligibility_wakeup();
   };
 
   baseline::MinEdfWcScheduler sched(
@@ -272,6 +317,8 @@ SimMetrics simulate_minedf(const Workload& workload,
           if (speed > best_speed) {
             best_speed = speed;
             slot = i;
+            // No later slot is faster, and a tie keeps the lower index.
+            if (speed == top_speed) break;
           }
         }
         if (slot == slots.size()) {
@@ -286,27 +333,17 @@ SimMetrics simulate_minedf(const Workload& workload,
             start + w.cluster.resource(res).scaled_duration(task.exec_time);
         slots[slot].busy_until = end;
         if (taken != nullptr) taken->push_back(res);
-        RunningTask rt{is_map, slot, start, end, {}};
-        rt.end_event =
-            des.schedule_at(end, [&, job_id, task_index, res, start, end] {
-              running.erase({job_id, task_index});
-              executed.push_back(
-                  ExecutedTask{job_id, task_index, res, start, end});
-              const auto ji = static_cast<std::size_t>(job_id);
-              MRCP_CHECK(remaining[ji] > 0);
-              if (--remaining[ji] == 0) {
-                JobRecord& record = metrics.records[ji];
-                finish_job_record(record, des.now());
-                if (record.late && record.failure_affected) {
-                  ++metrics.failure.jobs_late_failure_affected;
-                }
-                MRCP_CHECK(jobs_left > 0);
-                if (--jobs_left == 0) injector.stop(des);
-              }
-              sched_ptr->on_task_finished(job_id, task_index, des.now());
-              update_eligibility_wakeup();
-            });
-        running.emplace(std::make_pair(job_id, task_index), std::move(rt));
+        std::uint32_t idx;
+        if (free_running.empty()) {
+          idx = static_cast<std::uint32_t>(running.size());
+          running.emplace_back();
+        } else {
+          idx = free_running.back();
+          free_running.pop_back();
+        }
+        RunningTask& rt = running[idx];
+        rt = RunningTask{job_id, task_index, is_map, slot, start, end, {}};
+        rt.end_event = des.schedule_at(end, [&on_end, idx] { on_end(idx); });
         return end;
       },
       config);
@@ -321,18 +358,27 @@ SimMetrics simulate_minedf(const Workload& workload,
     }
     const Resource& res = w.cluster.resource(r);
     sched.handle_resource_down(res.map_capacity, res.reduce_capacity);
-    // Kill the attempts running on r; a task that ends exactly at t is a
-    // normal completion (its end event fires later this tick).
-    for (auto it = running.begin(); it != running.end();) {
-      RunningTask& rt = it->second;
-      auto& slots = rt.is_map ? map_slots : reduce_slots;
-      if (slots[rt.slot].resource != r || rt.end <= t) {
-        ++it;
-        continue;
+    // Kill the attempts running on r, in (job, task) order; a task that
+    // ends exactly at t is a normal completion (its end event fires later
+    // this tick).
+    std::vector<std::uint32_t> victims;
+    for (std::uint32_t i = 0; i < running.size(); ++i) {
+      const RunningTask& rt = running[i];
+      if (rt.job != kNoJob && rt.end > t && slot_of(rt).resource == r) {
+        victims.push_back(i);
       }
+    }
+    std::sort(victims.begin(), victims.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return std::make_pair(running[a].job, running[a].task) <
+                       std::make_pair(running[b].job, running[b].task);
+              });
+    for (const std::uint32_t idx : victims) {
+      RunningTask& rt = running[idx];
       des.cancel(rt.end_event);
-      slots[rt.slot].busy_until = t;
-      const auto [job_id, task_index] = it->first;
+      slot_of(rt).busy_until = t;
+      const JobId job_id = rt.job;
+      const int task_index = rt.task;
       metrics.killed.push_back(ExecutedTask{job_id, task_index, r, rt.start, t});
       ++metrics.failure.tasks_killed;
       metrics.failure.wasted_ticks += t - rt.start;
@@ -348,7 +394,7 @@ SimMetrics simulate_minedf(const Workload& workload,
         MRCP_CHECK(pos != taken.end());
         taken.erase(pos);
       }
-      it = running.erase(it);
+      release_running(idx);
     }
     sched.wake(t);
     update_eligibility_wakeup();
@@ -367,11 +413,13 @@ SimMetrics simulate_minedf(const Workload& workload,
   };
   injector.start(des, on_resource_down, on_resource_up);
 
+  auto on_arrival = [&](const Job& job) {
+    sched.submit(job, des.now());
+    update_eligibility_wakeup();
+  };
   for (const Job& job : w.jobs) {
-    des.schedule_at(job.arrival_time, [&, &job = job] {
-      sched.submit(job, des.now());
-      update_eligibility_wakeup();
-    });
+    des.schedule_at(job.arrival_time,
+                    [&on_arrival, &job] { on_arrival(job); });
   }
 
   des.run();

@@ -95,6 +95,52 @@ TEST(SolverEdge, NotProvedOptimalWhenLateAndBudgetTiny) {
   EXPECT_FALSE(r.stats.proved_optimal);
 }
 
+TEST(SolverEdge, ExhaustedBranchAndBoundAboveRootBoundIsFeasible) {
+  // One slot, two jobs whose 60-tick tasks must both end by 70: one job
+  // is late in every schedule, yet neither is late alone, so the root
+  // bound is 0. The B&B tree over one job order is tiny and exhausts,
+  // which proves nothing about other orders: the status stays kFeasible.
+  Model m;
+  m.add_resource(1, 1);
+  for (int j = 0; j < 2; ++j) {
+    const CpJobIndex job = m.add_job(Time{0}, Time{70}, j);
+    m.add_task(job, Phase::kMap, Time{60});
+  }
+  SolveParams p;
+  p.improvement_fails = 100000;
+  p.lns_iterations = 0;
+  ASSERT_EQ(SearchRoot(m).late_count(), 0);
+  SetTimesSearch bnb(m, make_job_ranks(m, p.portfolio.front()));
+  SearchLimits limits;
+  limits.max_fails = p.improvement_fails;
+  limits.postpone_tries = p.postpone_tries;
+  SearchStats st;
+  ASSERT_TRUE(bnb.run(limits, nullptr, &st).valid);
+  ASSERT_TRUE(st.exhausted);
+
+  const SolveResult r = solve(m, p);
+  EXPECT_EQ(r.best.num_late, 1);
+  EXPECT_FALSE(r.stats.proved_optimal);
+  EXPECT_EQ(r.status, SolveStatus::kFeasible);
+}
+
+TEST(SolverEdge, ProvedOptimalAtRootBound) {
+  // Job 0's task alone overruns its deadline, so it is late in every
+  // schedule (root bound 1); job 1 fits beside it. One late job meets
+  // the bound, which proves the plan optimal.
+  Model m;
+  m.add_resource(1, 1);
+  const CpJobIndex late = m.add_job(Time{0}, Time{50}, 0);
+  m.add_task(late, Phase::kMap, Time{60});
+  const CpJobIndex fits = m.add_job(Time{0}, Time{200}, 1);
+  m.add_task(fits, Phase::kMap, Time{60});
+  ASSERT_EQ(SearchRoot(m).late_count(), 1);
+  const SolveResult r = solve(m, SolveParams{});
+  EXPECT_EQ(r.best.num_late, 1);
+  EXPECT_TRUE(r.stats.proved_optimal);
+  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+}
+
 TEST(SolverEdge, SingleOrderingPortfolioWorks) {
   const Model m = contended_model(5, 7);
   SolveParams p;

@@ -146,6 +146,31 @@ TEST(SimulateMinedf, ManyJobsAllComplete) {
   for (const JobRecord& r : m.records) EXPECT_TRUE(r.completed());
 }
 
+TEST(SimulateMinedf, SameTickSlotReuseRecordsBothRuns) {
+  // Two machines with one map slot each. Job 0's task holds slot 0
+  // (machine 0) over [0, 100). Job 1 arrives at 100, and its arrival event
+  // fires before job 0's end event (it was scheduled first). Machine 1 is
+  // the free one by the scheduler's count, but the first-free-slot scan
+  // takes slot 0, whose occupant ends at this tick: job 1 relaunches slot
+  // 0 while job 0's end event is still pending.
+  const Workload w = make_workload(
+      {make_job(0, Time{0}, Time{0}, Time{10000}, {Time{100}}, {}),
+       make_job(1, Time{100}, Time{100}, Time{10000}, {Time{50}}, {})},
+      2, 1, 1);
+  const SimMetrics m = simulate_minedf(w);
+  ASSERT_EQ(m.executed.size(), 2u);
+  EXPECT_EQ(m.executed[0].job, 0);
+  EXPECT_EQ(m.executed[0].resource, 0);
+  EXPECT_EQ(m.executed[0].start, Time{0});
+  EXPECT_EQ(m.executed[0].end, Time{100});
+  EXPECT_EQ(m.executed[1].job, 1);
+  EXPECT_EQ(m.executed[1].resource, 0);
+  EXPECT_EQ(m.executed[1].start, Time{100});
+  EXPECT_EQ(m.executed[1].end, Time{150});
+  EXPECT_EQ(m.records[0].completion, Time{100});
+  EXPECT_EQ(m.records[1].completion, Time{150});
+}
+
 TEST(ValidateExecution, CatchesMissingTask) {
   const Workload w =
       make_workload({make_job(0, Time{0}, Time{0}, Time{1000}, {Time{10}, Time{10}}, {})}, 1, 2, 1);

@@ -198,6 +198,46 @@ std::pair<ResourceId, Time> first_failure(int resources,
   return first;
 }
 
+// Three jobs of two map tasks each, all pinned to the machine that fails
+// first and eligible together 1000 ticks before the failure. EDF launches
+// job 2 first (earliest deadline) and LPT launches each job's longer task
+// 1 first, so launch order is the reverse of (job, task) order. The kills
+// must still come out in (job, task) order, the order the MinEDF-WC
+// driver has always reported them in.
+TEST(SimulateMinedf, KillsFollowJobTaskOrder) {
+  SimOptions options;
+  options.faults.mtbf_s = 1000.0;
+  options.faults.mttr_s = 20.0;
+  options.faults.seed = 5;
+  const auto [failed, at] = first_failure(2, options.faults);
+  ASSERT_NE(failed, kNoResource);
+  ASSERT_GT(at, Time{10'000});
+
+  const Time eligible = at - Time{1000};
+  std::vector<Job> jobs;
+  for (int j = 0; j < 3; ++j) {
+    Job job = make_job(j, Time{0}, eligible, at + Time{(3 - j) * 100'000},
+                       {Time{5000}, Time{6000}}, {});
+    for (Task& t : job.map_tasks) t.candidates = {failed};
+    jobs.push_back(std::move(job));
+  }
+  const Workload w = make_workload(std::move(jobs), 2, 6, 1);
+  baseline::MinEdfConfig config;
+  config.task_order = baseline::TaskDispatchOrder::kLpt;
+  const SimMetrics m = simulate_minedf(w, config, options);
+
+  ASSERT_GE(m.killed.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(m.killed[i].job, static_cast<JobId>(i / 2));
+    EXPECT_EQ(m.killed[i].task_index, static_cast<int>(i % 2));
+    EXPECT_EQ(m.killed[i].resource, failed);
+    EXPECT_EQ(m.killed[i].start, eligible);
+    EXPECT_EQ(m.killed[i].end, at);
+  }
+  for (const JobRecord& r : m.records) EXPECT_TRUE(r.completed());
+}
+
 class FaultSimScopes : public ::testing::TestWithParam<ReplanScope> {};
 
 // A resource fails at the very tick a task ends, and the replan at that
