@@ -1,8 +1,10 @@
 #include "mapreduce/job.h"
 
 #include <algorithm>
-#include <queue>
+#include <array>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 
@@ -36,36 +38,83 @@ Time Job::total_reduce_time() const { return sum_time(reduce_tasks); }
 Time Job::max_map_time() const { return max_time(map_tasks); }
 Time Job::max_reduce_time() const { return max_time(reduce_tasks); }
 
-Time lpt_makespan(std::vector<Time> durations, int machines) {
+namespace {
+
+/// Sorts `keys` ascending with an LSD radix sort over the bytes of
+/// key - min, skipping every byte that is the same in all keys. `buffer`
+/// is scratch; it is resized to the key count.
+void radix_sort(std::vector<Time>& keys, std::vector<Time>& buffer) {
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const auto base = static_cast<std::uint64_t>(lo->count());
+  const std::uint64_t range = static_cast<std::uint64_t>(hi->count()) - base;
+  const auto digit = [base](Time key, int shift) {
+    return static_cast<std::size_t>(
+        ((static_cast<std::uint64_t>(key.count()) - base) >> shift) & 0xFF);
+  };
+  buffer.resize(keys.size());
+  for (int shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
+    std::array<std::size_t, 256> start{};
+    for (Time key : keys) ++start[digit(key, shift)];
+    if (start[digit(keys.front(), shift)] == keys.size()) continue;
+    std::size_t next = 0;
+    for (std::size_t& s : start) next += std::exchange(s, next);
+    for (Time key : keys) buffer[start[digit(key, shift)]++] = key;
+    keys.swap(buffer);
+  }
+}
+
+/// lpt_makespan on a `durations` vector it may reorder, with `buffer` as
+/// scratch.
+Time lpt_makespan(std::vector<Time>& durations, int machines,
+                  std::vector<Time>& buffer) {
   MRCP_CHECK(machines >= 1);
   if (durations.empty()) return Time{0};
+  const auto m = static_cast<std::size_t>(machines);
   // A machine per task: LPT gives every task its own machine.
-  if (durations.size() <= static_cast<std::size_t>(machines)) {
+  if (durations.size() <= m) {
     return *std::max_element(durations.begin(), durations.end());
   }
-  std::sort(durations.begin(), durations.end(), std::greater<>());
-  // min-heap of machine finish times
-  std::priority_queue<Time, std::vector<Time>, std::greater<>> finish(
-      std::greater<>{}, std::vector<Time>(static_cast<std::size_t>(machines)));
-  Time makespan{};
-  for (Time d : durations) {
-    const Time end = finish.top() + d;
-    finish.pop();
-    finish.push(end);
-    makespan = std::max(makespan, end);
+  radix_sort(durations, buffer);
+  // The m longest tasks open the m machines; their finish times in
+  // ascending order already form a min-heap. Every later task, longest
+  // first, goes to the machine that finishes first: add it to the root
+  // and sift the root down. Which of several equal minima takes it does
+  // not change the multiset of finish times.
+  const std::size_t rest = durations.size() - m;
+  buffer.assign(durations.begin() + static_cast<std::ptrdiff_t>(rest),
+                durations.end());
+  for (std::size_t i = rest; i-- > 0;) {
+    const Time end = buffer[0] + durations[i];
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < m; child = 2 * hole + 1) {
+      if (child + 1 < m && buffer[child + 1] < buffer[child]) ++child;
+      if (!(buffer[child] < end)) break;
+      buffer[hole] = buffer[child];
+      hole = child;
+    }
+    buffer[hole] = end;
   }
-  return makespan;
+  return *std::max_element(buffer.begin(), buffer.end());
+}
+
+}  // namespace
+
+Time lpt_makespan(std::vector<Time> durations, int machines) {
+  std::vector<Time> buffer;
+  return lpt_makespan(durations, machines, buffer);
 }
 
 Time Job::min_execution_time(int map_slots, int reduce_slots) const {
-  std::vector<Time> maps;
-  maps.reserve(map_tasks.size());
-  for (const Task& t : map_tasks) maps.push_back(t.exec_time);
-  std::vector<Time> reduces;
-  reduces.reserve(reduce_tasks.size());
-  for (const Task& t : reduce_tasks) reduces.push_back(t.exec_time);
-  Time te = lpt_makespan(std::move(maps), map_slots);
-  if (!reduces.empty()) te += lpt_makespan(std::move(reduces), reduce_slots);
+  std::vector<Time> durations;
+  std::vector<Time> buffer;
+  durations.reserve(std::max(map_tasks.size(), reduce_tasks.size()));
+  for (const Task& t : map_tasks) durations.push_back(t.exec_time);
+  Time te = lpt_makespan(durations, map_slots, buffer);
+  if (!reduce_tasks.empty()) {
+    durations.clear();
+    for (const Task& t : reduce_tasks) durations.push_back(t.exec_time);
+    te += lpt_makespan(durations, reduce_slots, buffer);
+  }
   return te;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "reference_minedf.h"
 
@@ -188,6 +191,10 @@ PhaseStats random_phase(RandomStream& rng) {
   return stats;
 }
 
+AriaBound random_bound(RandomStream& rng) {
+  return rng.bernoulli(0.5) ? AriaBound::kAverage : AriaBound::kUpper;
+}
+
 // The monotone sweep (one reduce-slot search, then walk-down, cut once no
 // later map-slot count can win) against the full sweep that searches the
 // reduce slots for every map-slot count. Budgets span negative, zero,
@@ -199,8 +206,7 @@ TEST(MinimalSlotProfile, MatchesFullSweepOnRandomInputs) {
   for (int i = 0; i < 20000; ++i) {
     const PhaseStats maps = random_phase(rng);
     const PhaseStats reduces = random_phase(rng);
-    const AriaBound bound =
-        rng.bernoulli(0.5) ? AriaBound::kAverage : AriaBound::kUpper;
+    const AriaBound bound = random_bound(rng);
     const int max_map = static_cast<int>(rng.uniform_int(1, 128));
     const int max_reduce = static_cast<int>(rng.uniform_int(1, 128));
     const Time work = maps.sum + reduces.sum;
@@ -227,6 +233,127 @@ TEST(MinimalSlotProfile, MatchesFullSweepOnRandomInputs) {
   EXPECT_GT(feasible, 2000);
   EXPECT_GT(two_phase_feasible, 1000);
   EXPECT_LT(feasible, 19000);
+}
+
+/// Phase statistics at production magnitudes and beyond: 1-10,000 tasks
+/// of up to 1e7 ticks. The triple is drawn directly, log-uniform in count
+/// and longest task, so that the extremes (all tasks equal, one long task
+/// among unit ones) come up often.
+PhaseStats random_large_phase(RandomStream& rng) {
+  const auto log_uniform = [&](double top) {
+    return static_cast<std::int64_t>(
+        std::pow(10.0, rng.uniform_real(0.0, top)));
+  };
+  PhaseStats stats;
+  stats.count = std::min<std::int64_t>(log_uniform(4.0), 10000);
+  stats.max = Time{std::min<std::int64_t>(log_uniform(7.0), 10000000)};
+  const std::int64_t least = stats.max.count() + (stats.count - 1);
+  const std::int64_t most = stats.max.count() * stats.count;
+  const double pick = rng.uniform_real(0.0, 1.0);
+  stats.sum = Time{pick < 0.1   ? least
+                   : pick < 0.2 ? most
+                                : rng.uniform_int(least, most)};
+  return stats;
+}
+
+/// A slot cap of 1-4096, log-uniform.
+int random_large_cap(RandomStream& rng) {
+  return static_cast<int>(std::pow(2.0, rng.uniform_real(0.0, 12.0)));
+}
+
+TEST(AriaEstimate, MatchesDefinitionAtProductionMagnitudes) {
+  RandomStream rng(20261019, 1);
+  for (int i = 0; i < 20000; ++i) {
+    const PhaseStats stats = random_large_phase(rng);
+    const AriaBound bound = random_bound(rng);
+    const int slots = random_large_cap(rng);
+    ASSERT_EQ(aria_completion_estimate(stats, slots, bound),
+              reference::aria_estimate(stats, slots, bound))
+        << "case " << i;
+  }
+}
+
+// A search that finds no fitting count ends one past the cap; at a cap of
+// INT_MAX that must not overflow.
+TEST(MinSlotsForEstimate, SlotCapOfIntMax) {
+  constexpr int kCap = std::numeric_limits<int>::max();
+  const std::vector<Time> durs{Time{10}, Time{20}, Time{30}};
+  EXPECT_EQ(min_slots_for_estimate(durs, Time{29}, kCap, AriaBound::kUpper), 0);
+  EXPECT_EQ(min_slots_for_estimate(durs, Time{44}, kCap, AriaBound::kUpper), 3);
+  // kAverage: (ceil(60/n) + ceil(40/n) + 30) / 2 never drops below 16.
+  EXPECT_EQ(min_slots_for_estimate(durs, Time{15}, kCap, AriaBound::kAverage),
+            0);
+  EXPECT_EQ(min_slots_for_estimate(durs, Time{16}, kCap, AriaBound::kAverage),
+            40);
+  const SlotProfile p =
+      minimal_slot_profile(durs, durs, Time{0}, Time{31}, kCap, kCap,
+                           AriaBound::kAverage);
+  EXPECT_FALSE(p.feasible);
+  const SlotProfile q =
+      minimal_slot_profile(durs, durs, Time{0}, Time{120}, kCap, kCap);
+  EXPECT_TRUE(q.feasible);
+  EXPECT_EQ(q.map_slots + q.reduce_slots, 2);
+}
+
+// The search starts at the closed-form inverse of the estimate; a linear
+// scan of the slot counts must agree on every budget: below, at and just
+// around the estimate at some slot count, non-positive and generous.
+TEST(MinSlotsForEstimate, MatchesLinearScan) {
+  RandomStream rng(20261019, 2);
+  int found = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const bool large = rng.bernoulli(0.5);
+    const PhaseStats stats =
+        large ? random_large_phase(rng) : random_phase(rng);
+    const AriaBound bound = random_bound(rng);
+    const int cap = large ? random_large_cap(rng)
+                          : static_cast<int>(rng.uniform_int(1, 128));
+    const int at = static_cast<int>(rng.uniform_int(1, cap));
+    const double pick = rng.uniform_real(0.0, 1.0);
+    const Time budget =
+        pick < 0.05   ? Time{rng.uniform_int(-100, 0)}
+        : pick < 0.10 ? stats.sum + Time{rng.uniform_int(0, 100)}
+                      : reference::aria_estimate(stats, at, bound) +
+                            Time{rng.uniform_int(-2, 2)};
+    const int got = min_slots_for_estimate(stats, budget, cap, bound);
+    ASSERT_EQ(got, reference::min_slots_by_scan(stats, budget, cap, bound))
+        << "case " << i;
+    found += got > 0 ? 1 : 0;
+  }
+  EXPECT_GT(found, 10000);
+  EXPECT_LT(found, 19000);
+}
+
+// Facebook phases reach 4800 tasks. Here the phases have up to 10,000
+// tasks of up to 1e7 ticks, the caps reach 4096 slots, and the budget is
+// the two estimates at a random slot pair, give or take a few ticks, so
+// the minimum sits at large slot counts.
+TEST(MinimalSlotProfile, MatchesFullSweepAtProductionMagnitudes) {
+  RandomStream rng(20261019, 3);
+  int two_phase_large = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const PhaseStats maps = random_large_phase(rng);
+    const PhaseStats reduces = random_large_phase(rng);
+    const AriaBound bound = random_bound(rng);
+    const int max_map = random_large_cap(rng);
+    const int max_reduce = random_large_cap(rng);
+    const int at_map = static_cast<int>(rng.uniform_int(1, max_map));
+    const int at_reduce = static_cast<int>(rng.uniform_int(1, max_reduce));
+    const Time budget = reference::aria_estimate(maps, at_map, bound) +
+                        reference::aria_estimate(reduces, at_reduce, bound) +
+                        Time{rng.uniform_int(-3, 3)};
+    const Time now{rng.uniform_int(0, 1000000)};
+    const SlotProfile got = minimal_slot_profile(
+        maps, reduces, now, now + budget, max_map, max_reduce, bound);
+    const SlotProfile want = reference::full_sweep_slot_profile(
+        maps, reduces, now, now + budget, max_map, max_reduce, bound);
+    ASSERT_EQ(got.feasible, want.feasible) << "case " << i;
+    ASSERT_EQ(got.map_slots, want.map_slots) << "case " << i;
+    ASSERT_EQ(got.reduce_slots, want.reduce_slots) << "case " << i;
+    two_phase_large +=
+        got.feasible && got.map_slots > 16 && got.reduce_slots > 16 ? 1 : 0;
+  }
+  EXPECT_GT(two_phase_large, 400);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Reference copies of the MinEDF-WC baseline in its straightforward form:
-// the full ARIA map-slot sweep, with one reduce-slot search per map-slot
-// count, and a dispatch that sorts every live job into EDF order and keeps
-// its grants in per-call maps. The differential tests in aria_test.cpp and
-// minedf_test.cpp run the production code against these on the same
-// inputs and require identical answers.
+// the full ARIA map-slot sweep, with a linear reduce-slot scan per
+// map-slot count over its own copy of the estimate, and a dispatch that
+// sorts every live job into EDF order and keeps its grants in per-call
+// maps. The differential tests in aria_test.cpp and minedf_test.cpp run
+// the production code against these on the same inputs and require
+// identical answers.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +21,34 @@
 
 namespace mrcp::baseline::reference {
 
-/// Minimal (n_m + n_r) profile by trying every map-slot count.
+/// The ARIA estimate written out from its definition (Verma et al.), so
+/// that the reference shares no code with the estimator it checks.
+inline Time aria_estimate(const PhaseStats& stats, int slots,
+                          AriaBound bound) {
+  if (stats.empty()) return Time{0};
+  if (bound == AriaBound::kUpper) {
+    return ceil_div(stats.sum - stats.max, slots) + stats.max;
+  }
+  const Time avg = ceil_div(stats.sum, stats.count);
+  const Time t_low = ceil_div(stats.sum, slots);
+  const Time t_up = ceil_div((stats.count - 1) * avg, slots) + stats.max;
+  return (t_low + t_up) / 2;
+}
+
+/// Smallest n in [1, max_slots] whose estimate meets `budget`, by linear
+/// scan; 0 when none does, when the budget is not positive, or for an
+/// empty phase.
+inline int min_slots_by_scan(const PhaseStats& stats, Time budget,
+                             int max_slots, AriaBound bound) {
+  if (stats.empty() || budget <= Time{0}) return 0;
+  for (int n = 1; n <= max_slots; ++n) {
+    if (aria_estimate(stats, n, bound) <= budget) return n;
+  }
+  return 0;
+}
+
+/// Minimal (n_m + n_r) profile by trying every map-slot count against
+/// every reduce-slot count in increasing order.
 inline SlotProfile full_sweep_slot_profile(const PhaseStats& map_stats,
                                            const PhaseStats& reduce_stats,
                                            Time now, Time deadline,
@@ -37,7 +65,7 @@ inline SlotProfile full_sweep_slot_profile(const PhaseStats& map_stats,
 
   if (map_stats.empty()) {
     const int nr =
-        min_slots_for_estimate(reduce_stats, budget, max_reduce_slots, bound);
+        min_slots_by_scan(reduce_stats, budget, max_reduce_slots, bound);
     if (nr > 0 || reduce_stats.empty()) {
       best.map_slots = 0;
       best.reduce_slots = nr;
@@ -46,8 +74,7 @@ inline SlotProfile full_sweep_slot_profile(const PhaseStats& map_stats,
     return best;
   }
   if (reduce_stats.empty()) {
-    const int nm =
-        min_slots_for_estimate(map_stats, budget, max_map_slots, bound);
+    const int nm = min_slots_by_scan(map_stats, budget, max_map_slots, bound);
     if (nm > 0) {
       best.map_slots = nm;
       best.reduce_slots = 0;
@@ -56,20 +83,30 @@ inline SlotProfile full_sweep_slot_profile(const PhaseStats& map_stats,
     return best;
   }
 
+  // Reduce estimates by slot count, index 0 unused.
+  std::vector<Time> reduce_estimate(
+      static_cast<std::size_t>(max_reduce_slots) + 1);
+  for (int nr = 1; nr <= max_reduce_slots; ++nr) {
+    reduce_estimate[static_cast<std::size_t>(nr)] =
+        aria_estimate(reduce_stats, nr, bound);
+  }
   int best_total = max_map_slots + max_reduce_slots + 1;
   for (int nm = 1; nm <= max_map_slots; ++nm) {
-    const Time t_map = aria_completion_estimate(map_stats, nm, bound);
-    const Time residual = budget - t_map;
+    const Time residual = budget - aria_estimate(map_stats, nm, bound);
     if (residual <= Time{0}) continue;
-    const int nr =
-        min_slots_for_estimate(reduce_stats, residual, max_reduce_slots, bound);
-    if (nr == 0) continue;
+    int nr = 1;
+    while (nr <= max_reduce_slots &&
+           reduce_estimate[static_cast<std::size_t>(nr)] > residual) {
+      ++nr;
+    }
+    if (nr > max_reduce_slots) continue;
     if (nm + nr < best_total) {
       best_total = nm + nr;
       best.map_slots = nm;
       best.reduce_slots = nr;
       best.feasible = true;
     }
+    // Every later nm has a total of at least nm + 2.
     if (nr == 1) break;
   }
   return best;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <vector>
+
 #include "../test_util.h"
+#include "common/rng.h"
 
 namespace mrcp {
 namespace {
@@ -30,6 +36,50 @@ TEST(LptMakespan, TwoMachinesBalanced) {
 TEST(LptMakespan, EqualTasks) {
   // 6 tasks of 10 on 3 machines: 2 each -> 20.
   EXPECT_EQ(lpt_makespan({Time{10}, Time{10}, Time{10}, Time{10}, Time{10}, Time{10}}, 3), Time{20});
+}
+
+/// LPT as first written: a descending std::sort, then one priority-queue
+/// pop and push per task.
+Time reference_lpt_makespan(std::vector<Time> durations, int machines) {
+  if (durations.empty()) return Time{0};
+  if (durations.size() <= static_cast<std::size_t>(machines)) {
+    return *std::max_element(durations.begin(), durations.end());
+  }
+  std::sort(durations.begin(), durations.end(), std::greater<>());
+  std::priority_queue<Time, std::vector<Time>, std::greater<>> finish(
+      std::greater<>{}, std::vector<Time>(static_cast<std::size_t>(machines)));
+  Time makespan{};
+  for (Time d : durations) {
+    const Time end = finish.top() + d;
+    finish.pop();
+    finish.push(end);
+    makespan = std::max(makespan, end);
+  }
+  return makespan;
+}
+
+// Task counts on both sides of the machine count and of the radix-sort
+// cutoff, one machine, and durations from a handful of values (many ties)
+// up to 1e9.
+TEST(LptMakespan, MatchesPriorityQueueReference) {
+  RandomStream rng(20261019, 7);
+  for (int i = 0; i < 1500; ++i) {
+    const int machines = rng.bernoulli(0.1)
+                             ? 1
+                             : static_cast<int>(rng.uniform_int(1, 80));
+    const auto count = static_cast<std::size_t>(
+        rng.bernoulli(0.2) ? rng.uniform_int(0, machines)
+                           : rng.uniform_int(0, 3000));
+    const std::int64_t top =
+        rng.bernoulli(0.3) ? rng.uniform_int(1, 4) : 1'000'000'000;
+    std::vector<Time> durations;
+    for (std::size_t k = 0; k < count; ++k) {
+      durations.push_back(Time{rng.uniform_int(1, top)});
+    }
+    ASSERT_EQ(lpt_makespan(durations, machines),
+              reference_lpt_makespan(durations, machines))
+        << "case " << i << ": " << count << " tasks on " << machines;
+  }
 }
 
 TEST(JobAccessors, CountsAndTotals) {
