@@ -4,8 +4,9 @@
 //
 // In addition to the google-benchmark suite, the binary always writes
 // BENCH_cp_micro.json (self-timed: profile query and edit ns/op on a
-// large and a real-run-sized timeline, solve wall-time on a small and an
-// enlarged workload, and the per-phase breakdown) so the perf trajectory
+// large and a real-run-sized timeline, unit placements on the staircase
+// timeline of a Facebook run, solve wall-time on a small and an enlarged
+// workload, and the per-phase breakdown) so the perf trajectory
 // of the hot path is tracked in a machine-readable form. See
 // docs/perf.md for how to read it.
 #include <benchmark/benchmark.h>
@@ -291,6 +292,40 @@ void write_bench_json(const char* path) {
   });
   benchmark::DoNotOptimize(small_sink);
 
+  // The shape timelines have on the §V.D combined resource of a Facebook
+  // run: capacity 64, about 100 entries, a plateau at capacity and then
+  // 64 descending steps, with unit demands. One op places a unit task as
+  // the search does (query, then add with the query's position) and
+  // undoes it (remove with the same position), so the shape stays put.
+  constexpr int kStaircaseOps = 200000;
+  Profile stairs(64);
+  for (int k = 0; k < 36; ++k) {  // a rugged plateau: 36 entries at 64
+    stairs.add(Time{100 * k}, Time{100}, 64 - (k % 2));
+  }
+  for (int k = 0; k < 64; ++k) {  // then one step down every 50 ticks
+    stairs.add(Time{3600}, Time{50 * (k + 1)}, 1);
+  }
+  std::vector<std::pair<Time, Time>> stair_queries;
+  {
+    RandomStream r4(4, 0);
+    for (int i = 0; i < 1024; ++i) {
+      stair_queries.emplace_back(r4.uniform_int(0, 3600),
+                                 r4.uniform_int(100, 2000));
+    }
+  }
+  Time stair_sink;
+  const double staircase_s = best_of_seconds(3, [&] {
+    for (int i = 0; i < kStaircaseOps; ++i) {
+      const auto& [est, dur] = stair_queries[static_cast<std::size_t>(i) & 1023];
+      Profile::Position at = Profile::kNoPosition;
+      const Time start = stairs.earliest_feasible(est, dur, 1, &at);
+      stairs.add(start, dur, 1, at);
+      stairs.remove(start, dur, 1, at);
+      stair_sink += start;
+    }
+  });
+  benchmark::DoNotOptimize(stair_sink);
+
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource
   // model. Two instances: the historical 25-job workload and an enlarged
   // 60-job one where per-member search work dominates setup.
@@ -336,6 +371,10 @@ void write_bench_json(const char* path) {
   std::fprintf(f, "  \"profile_small_add_remove_ns_per_op\": %.1f,\n",
                small_add_remove_s * 1e9 /
                    (2.0 * kSmallIntervals * kSmallEditRounds));
+  std::fprintf(f, "  \"profile_staircase_events\": %zu,\n",
+               stairs.num_events());
+  std::fprintf(f, "  \"profile_staircase_place_ns_per_op\": %.1f,\n",
+               staircase_s * 1e9 / kStaircaseOps);
   std::fprintf(f, "  \"solve_workload\": \"table3-combined-25jobs\",\n");
   std::fprintf(f, "  \"solve_tasks\": %zu,\n", m.num_tasks());
   std::fprintf(f, "  \"solve_num_late\": %d,\n", small.result.best.num_late);

@@ -54,6 +54,12 @@ struct InvocationRecord {
   int winning_member = -1;  ///< cp::SolveStats::winning_member
   /// cp::SolveStats::repeat_descents_skipped of the attempt.
   std::int64_t repeat_descents_skipped = 0;
+  /// Wall clock of the attempt's solver phases (cp::SolveStats
+  /// portfolio_seconds, improvement_seconds and lns_seconds): which phase
+  /// a faster kernel sped up.
+  double portfolio_seconds = 0.0;
+  double improvement_seconds = 0.0;
+  double lns_seconds = 0.0;
   /// Wall clock of the whole reschedule() call, up to publishing its plan
   /// (the per-call share of the paper's O).
   double wall_seconds = 0.0;

@@ -550,6 +550,9 @@ const Plan& MrcpRm::reschedule(Time now) {
     rec.portfolio_stopped_at_bound = result.stats.portfolio_stopped_at_bound;
     rec.winning_member = result.stats.winning_member;
     rec.repeat_descents_skipped = result.stats.repeat_descents_skipped;
+    rec.portfolio_seconds = result.stats.portfolio_seconds;
+    rec.improvement_seconds = result.stats.improvement_seconds;
+    rec.lns_seconds = result.stats.lns_seconds;
     rec.solve_wall_seconds = result.wall_seconds;
     stats_.solve_wall_seconds += result.wall_seconds;
     stats_.solver_decisions += result.stats.decisions;

@@ -104,12 +104,15 @@ std::string check_profile_against_reference(const Profile& fast,
   if (fast.capacity() != ref.capacity()) {
     return mismatch("capacity", Time{0}, fast.capacity(), ref.capacity());
   }
+  if (std::string err = fast.invariant_error(); !err.empty()) {
+    return "profile audit: " + err;
+  }
   // Walk the union of both change-point sets (a level the fast profile
   // dropped shows up at a reference point, and vice versa), comparing
   // the usage level at each point and immediately before it (one tick
   // earlier lies in the preceding segment).
   std::vector<Time> points = ref.change_points();
-  Time t = std::numeric_limits<Time>::min();
+  Time t = kNoTime;
   while ((t = fast.next_event_after(t)) != kMaxTime) points.push_back(t);
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());
@@ -117,7 +120,7 @@ std::string check_profile_against_reference(const Profile& fast,
     if (fast.usage_at(p) != ref.usage_at(p)) {
       return mismatch("usage", p, fast.usage_at(p), ref.usage_at(p));
     }
-    if (p > std::numeric_limits<Time>::min() &&
+    if (p > kNoTime &&
         fast.usage_at(p - Time{1}) != ref.usage_at(p - Time{1})) {
       return mismatch("usage", p - Time{1}, fast.usage_at(p - Time{1}), ref.usage_at(p - Time{1}));
     }

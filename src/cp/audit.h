@@ -75,8 +75,9 @@ class ReferenceProfile {
 };
 
 /// Cross-checks a fast Profile against the reference holding the same
-/// interval set: usage must agree at every change point (and just before
-/// it), and earliest_feasible must agree for the given queries.
+/// interval set: the fast profile's own invariants must hold
+/// (Profile::invariant_error, which recounts its last-full index), and
+/// usage must agree at every change point (and just before it).
 std::string check_profile_against_reference(const Profile& fast,
                                             const ReferenceProfile& ref);
 

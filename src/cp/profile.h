@@ -13,15 +13,31 @@
 // Representation: a flat sorted timeline of (time, usage) change points
 // — entry i means the usage level is `usage` on [time_i, time_{i+1}).
 // The timeline is canonical (adjacent levels differ), so a plateau of
-// any length is one entry. Queries enter it with a binary search and
-// then scan only the entries inside the asked-for window; appends at or
-// after the last event (the common case set-times search produces) are
-// amortized O(1). Real runs keep timelines at a few hundred entries at
-// most, where a linear scan beats any summary index it would have to
-// maintain on every edit.
+// any length is one entry. On the §V.D combined resource of a Facebook
+// run a timeline holds about 100 entries, in one usual shape: a plateau
+// at capacity, then a descending staircase of about capacity steps. A
+// placement lands on the first step and raises the steps it covers, so
+// appends past the last entry are rare (under 1 % of edits). A placement
+// therefore costs one binary search and one pass over its window:
+//
+//  * the query hands the timeline position of its answer to the edit
+//    (Position), which checks it in O(1) and binary-searches only when
+//    it is stale;
+//  * an edit walks from its start to its end point, shifting the entries
+//    in between by the one place its start and end points need, so the
+//    entries past the window move at most once (and not at all when the
+//    start merges into its predecessor and the end point is new — the
+//    staircase case);
+//  * the index past the last entry at or above capacity is kept, so a
+//    unit-demand query whose candidate lies beyond it is answered
+//    without scanning its window.
+//
+// docs/perf.md "The hot path" has the measurements behind each part.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,6 +47,12 @@ namespace mrcp::cp {
 
 class Profile {
  public:
+  /// A timeline position: the index of the first entry whose time is at
+  /// or after a given time. A query reports it for its answer and the
+  /// edit placing that answer takes it back as a hint.
+  using Position = std::uint32_t;
+  static constexpr Position kNoPosition = std::numeric_limits<Position>::max();
+
   explicit Profile(int capacity);
 
   int capacity() const { return capacity_; }
@@ -38,14 +60,21 @@ class Profile {
   /// Earliest t >= est such that usage(u) + demand <= capacity for all
   /// u in [t, t + duration). Always exists (the profile is finitely
   /// supported), so this never fails. duration >= 1, demand in [1, cap].
-  Time earliest_feasible(Time est, Time duration, int demand) const;
+  /// When `at` is given it receives the timeline position of t.
+  Time earliest_feasible(Time est, Time duration, int demand,
+                         Position* at = nullptr) const;
 
   /// True iff the interval [start, start+duration) fits with `demand`.
   bool fits(Time start, Time duration, int demand) const;
 
   /// Place / remove an interval. remove() must mirror a previous add().
-  void add(Time start, Time duration, int demand);
-  void remove(Time start, Time duration, int demand);
+  /// `hint` is the timeline position of `start` if the caller knows it
+  /// (earliest_feasible's `at`); a stale or absent hint costs one binary
+  /// search and never changes the result.
+  void add(Time start, Time duration, int demand,
+           Position hint = kNoPosition);
+  void remove(Time start, Time duration, int demand,
+              Position hint = kNoPosition);
 
   /// Usage at time t (number of busy slots).
   int usage_at(Time t) const;
@@ -58,31 +87,36 @@ class Profile {
   /// Peak usage over the whole horizon (diagnostics/tests).
   int peak_usage() const;
 
-  std::size_t num_events() const { return timeline_.size(); }
+  std::size_t num_events() const { return times_.size(); }
 
   std::string to_string() const;
 
- private:
-  /// Usage level `usage` holds on [time, next entry's time).
-  struct Event {
-    Time time;
-    int usage;
-  };
+  /// Empty when the representation is sound: times strictly increasing,
+  /// every level distinct from its predecessor's (the first from 0), the
+  /// last level 0, and the kept last-full index equal to a recount.
+  /// Otherwise a description of the first violation (audits and tests).
+  std::string invariant_error() const;
 
-  void apply(Time start, Time duration, int delta);
-  /// Index of the entry at exactly time t, inserting one (with the
-  /// surrounding usage level, i.e. a no-op change point) if absent.
-  std::size_t ensure_event(Time t);
-  /// Drop entry i if it no longer changes the level; true if dropped.
-  bool drop_if_redundant(std::size_t i);
+ private:
+  void apply(Time start, Time duration, int delta, Position hint);
+  /// Index of the first entry with time >= t: `hint` when it is that
+  /// index (checked in O(1)), a binary search otherwise.
+  std::size_t position_of(Time t, Position hint) const;
   /// Index of the first entry with time > t (== size() if none).
   std::size_t first_after(Time t) const;
   /// First index >= i whose usage is <= `limit` (== size() if none).
   std::size_t next_ok(std::size_t i, int limit) const;
 
   int capacity_;
-  std::vector<Event> timeline_;  ///< canonical: times increasing, levels
-                                 ///< distinct from their predecessor
+  /// The timeline, one entry per index: usage level levels_[i] holds on
+  /// [times_[i], times_[i + 1]). Canonical: times increasing, each level
+  /// distinct from its predecessor's (the first from 0), the last 0. Two
+  /// arrays, so the binary searches read times only.
+  std::vector<Time> times_;
+  std::vector<int> levels_;
+  /// One past the last entry whose usage is >= capacity_ (0 if none):
+  /// every entry from here on leaves room for a unit demand.
+  std::size_t full_end_ = 0;
 };
 
 }  // namespace mrcp::cp

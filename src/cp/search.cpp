@@ -491,19 +491,22 @@ bool SetTimesSearch::net_constrained(CpResourceIndex r, const CpTask& t) const {
 }
 
 Time SetTimesSearch::earliest_feasible_on(CpResourceIndex r, const CpTask& t,
-                                          Time est, Time duration) {
+                                          Time est, Time duration,
+                                          Profile::Position* slot_at) {
   Profile& slots = profile(r, t.phase);
   if (!net_constrained(r, t)) {
-    const Time s = slots.earliest_feasible(est, duration, t.demand);
+    const Time s = slots.earliest_feasible(est, duration, t.demand, slot_at);
     MRCP_AUDIT_ONLY(audit_slot_query(r, t.phase, est, duration, t.demand, s);)
     return s;
   }
   Profile& net = net_profiles_[static_cast<std::size_t>(r)];
   // Fixpoint of the two one-dimensional queries: each pass can only move
   // the start later, and both are finitely supported, so this terminates.
+  // The last pass queried the slot profile at the returned start, so its
+  // position belongs to the answer.
   Time start = est;
   while (true) {
-    const Time s1 = slots.earliest_feasible(start, duration, t.demand);
+    const Time s1 = slots.earliest_feasible(start, duration, t.demand, slot_at);
     const Time s2 = net.earliest_feasible(s1, duration, t.net_demand);
     MRCP_AUDIT_ONLY({
       audit_slot_query(r, t.phase, start, duration, t.demand, s1);
@@ -544,8 +547,9 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
     // not an alternative (the branch simply never exists).
     if (t.affinity_group >= 0 && group_use(t.affinity_group, r) > 0) return;
     const Time dur = model_.duration_on(task, r);
-    const Time start = earliest_feasible_on(r, t, est, dur);
-    level.choices.push_back(Choice{r, start, start + dur});
+    Profile::Position at;
+    const Time start = earliest_feasible_on(r, t, est, dur, &at);
+    level.choices.push_back(Choice{r, at, start, start + dur});
   };
   if (t.candidates.empty()) {
     for (CpResourceIndex r = 0; r < static_cast<CpResourceIndex>(model_.num_resources());
@@ -578,9 +582,11 @@ void SetTimesSearch::build_choices(CpTaskIndex task, Level& level) {
   for (int k = 0; k < level.postpone_budget; ++k) {
     const Time event = prof.next_event_after(from);
     if (event == kMaxTime) break;
-    const Time start = earliest_feasible_on(best.resource, t, event, best_dur);
+    Profile::Position at;
+    const Time start =
+        earliest_feasible_on(best.resource, t, event, best_dur, &at);
     if (start <= from) break;
-    level.choices.push_back(Choice{best.resource, start, start + best_dur});
+    level.choices.push_back(Choice{best.resource, at, start, start + best_dur});
     from = start;
   }
 }
@@ -602,7 +608,8 @@ void SetTimesSearch::apply(CpTaskIndex task, Level& level, const Choice& choice)
   const CpJob& j = model_.job(t.job);
 
   const Time dur = model_.duration_on(task, choice.resource);
-  profile(choice.resource, t.phase).add(choice.start, dur, t.demand);
+  profile(choice.resource, t.phase)
+      .add(choice.start, dur, t.demand, choice.slot_at);
   if (net_constrained(choice.resource, t)) {
     net_profiles_[static_cast<std::size_t>(choice.resource)].add(
         choice.start, dur, t.net_demand);
@@ -645,7 +652,8 @@ void SetTimesSearch::undo(CpTaskIndex task, Level& level) {
 
   const Time dur = model_.duration_on(task, level.applied_choice.resource);
   profile(level.applied_choice.resource, t.phase)
-      .remove(level.applied_choice.start, dur, t.demand);
+      .remove(level.applied_choice.start, dur, t.demand,
+              level.applied_choice.slot_at);
   if (net_constrained(level.applied_choice.resource, t)) {
     net_profiles_[static_cast<std::size_t>(level.applied_choice.resource)]
         .remove(level.applied_choice.start, dur, t.net_demand);

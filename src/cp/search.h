@@ -188,6 +188,10 @@ class SetTimesSearch {
  private:
   struct Choice {
     CpResourceIndex resource;
+    /// Timeline position of `start` in the slot profile, handed from the
+    /// query to the edit that places this choice and to the one that
+    /// undoes it (the profile is then back in the state the query saw).
+    Profile::Position slot_at;
     Time start;
     Time end;  ///< start + duration_on(task, resource): the ranking key
   };
@@ -202,7 +206,8 @@ class SetTimesSearch {
     int postpone_budget = 0;
     bool applied = false;
     // Undo data for the applied choice:
-    Choice applied_choice{kAnyResource, kNoTime, kNoTime};
+    Choice applied_choice{kAnyResource, Profile::kNoPosition, kNoTime,
+                          kNoTime};
     Time prev_fixed_map_end;
     Time prev_fixed_completion;
     bool prev_late = false;
@@ -231,9 +236,10 @@ class SetTimesSearch {
   /// (when the resource constrains links and the task uses them) the
   /// network profile — computed as a fixpoint of the two queries.
   /// `duration` is the task's effective duration ON resource `r`
-  /// (assignment-dependent on heterogeneous clusters).
+  /// (assignment-dependent on heterogeneous clusters). `slot_at`
+  /// receives the slot-profile position of the answer.
   Time earliest_feasible_on(CpResourceIndex r, const CpTask& t, Time est,
-                            Time duration);
+                            Time duration, Profile::Position* slot_at);
   bool net_constrained(CpResourceIndex r, const CpTask& t) const;
   /// Anti-affinity occupancy of (group, resource); groups only.
   int& group_use(int group, CpResourceIndex r) {

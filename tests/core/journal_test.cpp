@@ -243,8 +243,8 @@ TEST(JournalCodecs, InvocationRecordRoundTrip) {
 }
 
 TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
-  // The portfolio why-fields and the call's wall clocks (whole call and
-  // per stage) are a side channel: journal bytes (and so snapshots and
+  // The portfolio why-fields and the call's wall clocks (whole call, per
+  // stage and per solver phase) are a side channel: journal bytes (and so snapshots and
   // recovery) must not depend on them.
   Rng rng(9);
   for (int i = 0; i < 100; ++i) {
@@ -255,6 +255,11 @@ TEST(JournalCodecs, PortfolioProvenanceIsNotJournaled) {
     with_provenance.winning_member = static_cast<int>(rng() % 9);
     with_provenance.repeat_descents_skipped =
         1 + static_cast<std::int64_t>(rng() % 40);
+    with_provenance.portfolio_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
+    with_provenance.improvement_seconds =
+        1e-4 * static_cast<double>(1 + rng() % 500);
+    with_provenance.lns_seconds = 1e-4 * static_cast<double>(1 + rng() % 500);
     with_provenance.wall_seconds = 1e-3 * static_cast<double>(1 + rng() % 500);
     with_provenance.collect_wall_seconds =
         1e-4 * static_cast<double>(1 + rng() % 500);

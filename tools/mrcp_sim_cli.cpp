@@ -365,13 +365,21 @@ int run_simulate(const Flags& flags) {
     double build_s = 0.0;
     double matchmake_s = 0.0;
     double publish_s = 0.0;
+    double portfolio_s = 0.0;
+    double improvement_s = 0.0;
+    double lns_s = 0.0;
     for (const InvocationRecord& rec : metrics.invocations) {
       repeats += rec.repeat_descents_skipped;
       collect_s += rec.collect_wall_seconds;
       build_s += rec.build_wall_seconds;
       matchmake_s += rec.matchmake_wall_seconds;
       publish_s += rec.publish_wall_seconds;
+      portfolio_s += rec.portfolio_seconds;
+      improvement_s += rec.improvement_seconds;
+      lns_s += rec.lns_seconds;
     }
+    std::printf("  portfolio / B&B / LNS wall = %.3f / %.3f / %.3f s\n",
+                portfolio_s, improvement_s, lns_s);
     std::printf("  repeat descents not run = %lld\n",
                 static_cast<long long>(repeats));
     std::printf("  collect wall = %.3f s, build wall = %.3f s\n", collect_s,
