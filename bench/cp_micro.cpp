@@ -5,8 +5,9 @@
 // In addition to the google-benchmark suite, the binary always writes
 // BENCH_cp_micro.json (self-timed: profile query and edit ns/op on a
 // large and a real-run-sized timeline, unit placements on the staircase
-// timeline of a Facebook run, solve wall-time on a small and an enlarged
-// workload, and the per-phase breakdown) so the perf trajectory
+// timeline of a Facebook run, §V.D matchmaking of a staircase schedule,
+// solve wall-time on a small and an enlarged workload, and the per-phase
+// breakdown) so the perf trajectory
 // of the hot path is tracked in a machine-readable form. See
 // docs/perf.md for how to read it.
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/matchmaker.h"
 #include "cp/profile.h"
 #include "cp/solver.h"
 
@@ -326,6 +328,44 @@ void write_bench_json(const char* path) {
   });
   benchmark::DoNotOptimize(stair_sink);
 
+  // §V.D matchmaking on 64 x (1,1) slots: a combined schedule placed by
+  // greedy unit placements against each phase's combined timetable, with
+  // one running map per resource from time 0. 91 % of the starts meet an
+  // end (the staircase; 89 % on Facebook replans).
+  constexpr int kMatchItems = 7000;
+  constexpr int kMatchRounds = 40;
+  const Cluster match_cluster = Cluster::homogeneous(64, 1, 1);
+  std::vector<MatchItem> match_items;
+  {
+    RandomStream r5(5, 0);
+    Profile phase_profiles[2] = {Profile(64), Profile(64)};
+    for (int r = 0; r < 64; ++r) {
+      const Time dur{r5.uniform_int(1000, 60000)};
+      phase_profiles[0].add(Time{0}, dur, 1);
+      match_items.push_back(MatchItem{TaskType::kMap, Time{0}, dur, true, r});
+    }
+    while (match_items.size() < kMatchItems) {
+      const TaskType type =
+          r5.bernoulli(0.85) ? TaskType::kMap : TaskType::kReduce;
+      Profile& prof = phase_profiles[static_cast<int>(type)];
+      const Time est{r5.uniform_int(0, 150000)};
+      const Time dur{r5.uniform_int(1000, 60000)};
+      const Time start = prof.earliest_feasible(est, dur, 1);
+      prof.add(start, dur, 1);
+      match_items.push_back(
+          MatchItem{type, start, start + dur, false, kNoResource});
+    }
+  }
+  ResourceId match_sink = 0;
+  const double matchmake_s = best_of_seconds(3, [&] {
+    for (int round = 0; round < kMatchRounds; ++round) {
+      const std::vector<ResourceId> assigned =
+          matchmake(match_cluster, match_items);
+      match_sink += assigned[static_cast<std::size_t>(round)];
+    }
+  });
+  benchmark::DoNotOptimize(match_sink);
+
   // Solve wall-time on the Table 3 / Fig. 2-3-shaped combined-resource
   // model. Two instances: the historical 25-job workload and an enlarged
   // 60-job one where per-member search work dominates setup.
@@ -375,6 +415,10 @@ void write_bench_json(const char* path) {
                stairs.num_events());
   std::fprintf(f, "  \"profile_staircase_place_ns_per_op\": %.1f,\n",
                staircase_s * 1e9 / kStaircaseOps);
+  std::fprintf(f, "  \"matchmake_staircase_items\": %zu,\n",
+               match_items.size());
+  std::fprintf(f, "  \"matchmake_staircase_ns_per_item\": %.1f,\n",
+               matchmake_s * 1e9 / (kMatchRounds * kMatchItems));
   std::fprintf(f, "  \"solve_workload\": \"table3-combined-25jobs\",\n");
   std::fprintf(f, "  \"solve_tasks\": %zu,\n", m.num_tasks());
   std::fprintf(f, "  \"solve_num_late\": %d,\n", small.result.best.num_late);

@@ -6,11 +6,23 @@
 //   * tasks are processed in start-time order;
 //   * each task goes to the slot that "leaves the smallest remaining gap"
 //     — the slot whose last busy interval ends latest while still at or
-//     before the task's start;
+//     before the task's start (ties to the lowest slot);
 //   * map tasks use map slots, reduce tasks use reduce slots;
 //   * tasks that have already started are pre-placed on their actual
 //     resource (their slot within it is re-derived, which is sound
 //     because slots of one resource are interchangeable).
+//
+// The rule runs as one sweep with no comparison sort and no slot scan.
+// Two stable radix passes order the tasks by end, then by (start, pinned
+// first); the end order also drives the sweep's releases. Each phase
+// keeps a LIFO stack of free slots. Before a task starting at s, the slot
+// of every matchmade task ending at or before s goes back on its stack,
+// equal ends as a group in descending slot order. The stack is then
+// sorted by the end of each slot's last task, bottom to top, with the
+// lowest slot on top among equal ends, so its top is exactly the
+// smallest-gap choice. A new task pops the top; a running task takes the
+// topmost slot of its resource out of the middle (docs/perf.md,
+// "Matchmaking as one sweep").
 //
 // Because the combined-resource cumulative constraint bounds the number
 // of concurrent tasks by the total slot count, the greedy start-ordered

@@ -589,8 +589,17 @@ const Plan& MrcpRm::reschedule(Time now) {
       }
     })
 
-    // Map CP placements back onto cluster resources.
+    // Map CP placements back onto cluster resources. A CP job's tasks are
+    // consecutive in task_refs, so each loop below looks its JobState up
+    // once per job.
     stage.reset();
+    JobState* state = nullptr;
+    const auto job_state = [&](JobId job_id) -> JobState& {
+      if (state == nullptr || state->job.id != job_id) {
+        state = &active_.at(job_id);
+      }
+      return *state;
+    };
     std::vector<ResourceId> resources(built.task_refs.size(), kNoResource);
     if (built.combined) {
       std::vector<MatchItem> items(built.task_refs.size());
@@ -609,7 +618,7 @@ const Plan& MrcpRm::reschedule(Time now) {
         if (ct.pinned) {
           const auto& [job_id, task_index] = built.task_refs[i];
           item.pinned_resource =
-              active_.at(job_id)
+              job_state(job_id)
                   .assignments[static_cast<std::size_t>(task_index)]
                   .resource;
         }
@@ -628,7 +637,7 @@ const Plan& MrcpRm::reschedule(Time now) {
     for (std::size_t i = 0; i < built.task_refs.size(); ++i) {
       const auto& [job_id, task_index] = built.task_refs[i];
       Assignment& as =
-          active_.at(job_id).assignments[static_cast<std::size_t>(task_index)];
+          job_state(job_id).assignments[static_cast<std::size_t>(task_index)];
       as.resource = resources[i];
       as.start = chosen.placements[i].start;
       as.end = as.start +

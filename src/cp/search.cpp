@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
 
+#include "common/radix_sort.h"
 #include "common/stopwatch.h"
 
 namespace mrcp::cp {
@@ -366,20 +368,27 @@ const std::vector<CpTaskIndex>& SetTimesSearch::lpt_segments(CpJobIndex job) {
   }
   const auto ji = static_cast<std::size_t>(job);
   if (lpt_ready_[ji] == 0) {
-    // Longest first within each phase, duration ties by task index: a
-    // total order, so std::sort needs no stable merge buffer.
-    auto longer = [&](CpTaskIndex a, CpTaskIndex b) {
-      const Time da = model_.task(a).duration;
-      const Time db = model_.task(b).duration;
-      return da != db ? da > db : a < b;
+    // Longest first within each phase. The segment is in task index
+    // order, so a stable sort breaks duration ties by index. The buffers
+    // are the call's own: kept in the search, they raised peak RSS
+    // (docs/perf.md, "Matchmaking as one sweep").
+    std::vector<KeyedIndex> keys;
+    std::vector<KeyedIndex> buffer;
+    const auto sort_longest_first = [&](std::size_t begin, std::size_t end) {
+      keys.clear();
+      for (std::size_t i = begin; i < end; ++i) {
+        const CpTaskIndex t = lpt_tasks_[i];
+        const Time duration = model_.task(t).duration;
+        keys.push_back(KeyedIndex{~radix_key(duration.count()),
+                                  static_cast<std::uint32_t>(t)});
+      }
+      radix_sort(std::span<KeyedIndex>(keys), buffer);
+      for (std::size_t i = begin; i < end; ++i) {
+        lpt_tasks_[i] = static_cast<CpTaskIndex>(keys[i - begin].index);
+      }
     };
-    const auto at = [&](std::size_t i) {
-      return lpt_tasks_.begin() + static_cast<std::ptrdiff_t>(i);
-    };
-    std::sort(at(root_.segment_begin_[ji]), at(root_.segment_split_[ji]),
-              longer);
-    std::sort(at(root_.segment_split_[ji]), at(root_.segment_begin_[ji + 1]),
-              longer);
+    sort_longest_first(root_.segment_begin_[ji], root_.segment_split_[ji]);
+    sort_longest_first(root_.segment_split_[ji], root_.segment_begin_[ji + 1]);
     lpt_ready_[ji] = 1;
   }
   return lpt_tasks_;

@@ -1,12 +1,11 @@
 #include "mapreduce/job.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdint>
+#include <span>
 #include <sstream>
-#include <utility>
 
 #include "common/check.h"
+#include "common/radix_sort.h"
 
 namespace mrcp {
 
@@ -40,29 +39,6 @@ Time Job::max_reduce_time() const { return max_time(reduce_tasks); }
 
 namespace {
 
-/// Sorts `keys` ascending with an LSD radix sort over the bytes of
-/// key - min, skipping every byte that is the same in all keys. `buffer`
-/// is scratch; it is resized to the key count.
-void radix_sort(std::vector<Time>& keys, std::vector<Time>& buffer) {
-  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
-  const auto base = static_cast<std::uint64_t>(lo->count());
-  const std::uint64_t range = static_cast<std::uint64_t>(hi->count()) - base;
-  const auto digit = [base](Time key, int shift) {
-    return static_cast<std::size_t>(
-        ((static_cast<std::uint64_t>(key.count()) - base) >> shift) & 0xFF);
-  };
-  buffer.resize(keys.size());
-  for (int shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
-    std::array<std::size_t, 256> start{};
-    for (Time key : keys) ++start[digit(key, shift)];
-    if (start[digit(keys.front(), shift)] == keys.size()) continue;
-    std::size_t next = 0;
-    for (std::size_t& s : start) next += std::exchange(s, next);
-    for (Time key : keys) buffer[start[digit(key, shift)]++] = key;
-    keys.swap(buffer);
-  }
-}
-
 /// lpt_makespan on a `durations` vector it may reorder, with `buffer` as
 /// scratch.
 Time lpt_makespan(std::vector<Time>& durations, int machines,
@@ -74,7 +50,8 @@ Time lpt_makespan(std::vector<Time>& durations, int machines,
   if (durations.size() <= m) {
     return *std::max_element(durations.begin(), durations.end());
   }
-  radix_sort(durations, buffer);
+  radix_sort(std::span<Time>(durations), buffer,
+             [](Time d) { return radix_key(d.count()); });
   // The m longest tasks open the m machines; their finish times in
   // ascending order already form a min-heap. Every later task, longest
   // first, goes to the machine that finishes first: add it to the root

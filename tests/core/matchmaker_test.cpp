@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "cp/profile.h"
+#include "reference_matchmake.h"
 
 namespace mrcp {
 namespace {
@@ -117,6 +121,132 @@ TEST_P(MatchmakerRandomProperty, ValidAssignmentForFeasibleSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchmakerRandomProperty,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// Differential: the one-sweep matchmake() against the scan matchmaker it
+// replaced (reference_matchmake.h), on random feasible combined
+// schedules. Resources carry 1-4 slots per phase; a wide cluster has more
+// than 64 slots per phase. Running (pinned) items start first, at most a
+// resource's capacity of them per resource. Times sit on a 10-tick grid,
+// so starts tie, ends tie and ends meet later starts; a far instance sits
+// just below kMaxTime / 2.
+struct Instance {
+  Cluster cluster;
+  std::vector<MatchItem> items;
+};
+
+Instance random_instance(std::uint64_t seed, bool wide, bool far) {
+  RandomStream rng(seed, 0x3A7C);
+  Instance inst;
+  const int m = static_cast<int>(wide ? rng.uniform_int(66, 90)
+                                      : rng.uniform_int(1, 12));
+  for (int r = 0; r < m; ++r) {
+    inst.cluster.add_resource(static_cast<int>(rng.uniform_int(1, 4)),
+                              static_cast<int>(rng.uniform_int(1, 4)));
+  }
+  const Time base{far ? kMaxTime.count() / 2 - rng.uniform_int(0, 1000)
+                      : 10 * rng.uniform_int(0, 2)};
+  const auto tick = [&](std::int64_t lo, std::int64_t hi) {
+    return Time{10 * rng.uniform_int(lo, hi)};
+  };
+  cp::Profile profiles[2] = {cp::Profile(inst.cluster.total_map_slots()),
+                             cp::Profile(inst.cluster.total_reduce_slots())};
+  for (const Resource& r : inst.cluster.resources()) {
+    for (const TaskType type : {TaskType::kMap, TaskType::kReduce}) {
+      const auto running = rng.uniform_int(0, r.capacity(type));
+      for (std::int64_t k = 0; k < running; ++k) {
+        const Time start = base + tick(0, 3);
+        const Time dur = tick(1, 8);
+        profiles[static_cast<int>(type)].add(start, dur, 1);
+        inst.items.push_back(MatchItem{type, start, start + dur, true, r.id});
+      }
+    }
+  }
+  const auto n = rng.uniform_int(0, 500);
+  const std::int64_t spread = rng.uniform_int(1, 80);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const TaskType type =
+        rng.bernoulli(0.6) ? TaskType::kMap : TaskType::kReduce;
+    cp::Profile& prof = profiles[static_cast<int>(type)];
+    const Time est = base + tick(3, 3 + spread);
+    // Mostly on the grid; a few off it, so ends also fall between starts.
+    const Time dur =
+        tick(1, 8) + Time{rng.bernoulli(0.1) ? rng.uniform_int(1, 9) : 0};
+    const Time start = prof.earliest_feasible(est, dur, 1);
+    prof.add(start, dur, 1);
+    inst.items.push_back(
+        MatchItem{type, start, start + dur, false, kNoResource});
+  }
+  rng.shuffle(inst.items.begin(), inst.items.end());
+  return inst;
+}
+
+class MatchmakerDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool, bool>> {};
+
+TEST_P(MatchmakerDifferential, SweepEqualsScanReference) {
+  const auto [seed, wide, far] = GetParam();
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const Instance inst = random_instance(seed * 8 + k, wide, far);
+    if (wide) {
+      ASSERT_GT(inst.cluster.total_map_slots(), 64);
+      ASSERT_GT(inst.cluster.total_reduce_slots(), 64);
+    }
+    ASSERT_EQ(matchmake(inst.cluster, inst.items),
+              reference::scan_matchmake(inst.cluster, inst.items))
+        << "instance " << k << " of seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MatchmakerDifferential,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 9),
+                       ::testing::Bool(), ::testing::Bool()));
+
+TEST(MatchmakerDifferential, GeneratorCoversTiesPinsAndMeetings) {
+  // The differential cases above are only as good as what they contain:
+  // running items, tied starts, tied ends and ends meeting later starts.
+  int pinned = 0;
+  int tied_starts = 0;
+  int tied_ends = 0;
+  int meetings = 0;
+  for (std::uint64_t seed = 8; seed < 16; ++seed) {
+    const Instance inst = random_instance(seed, false, false);
+    std::map<Time, int> starts;
+    std::map<Time, int> ends;
+    for (const MatchItem& item : inst.items) {
+      pinned += item.pinned ? 1 : 0;
+      ++starts[item.start];
+      ++ends[item.end];
+    }
+    for (const auto& [t, c] : starts) {
+      tied_starts += c - 1;
+      meetings += ends.count(t) != 0 ? 1 : 0;
+    }
+    for (const auto& [t, c] : ends) tied_ends += c - 1;
+  }
+  EXPECT_GT(pinned, 20);
+  EXPECT_GT(tied_starts, 100);
+  EXPECT_GT(tied_ends, 100);
+  EXPECT_GT(meetings, 100);
+}
+
+TEST(MatchmakerDifferential, SaturatedStaircase) {
+  // Every slot busy back to back with staggered ends — the timetable
+  // staircase of a loaded cluster, where almost every start meets an end.
+  Cluster cluster = Cluster::homogeneous(70, 1, 1);
+  std::vector<MatchItem> items;
+  for (int s = 0; s < 70; ++s) {
+    Time t{s};
+    for (int k = 0; k < 20; ++k) {
+      const Time dur{100 + (s * 7 + k * 13) % 50};
+      items.push_back(
+          MatchItem{TaskType::kMap, t, t + dur, false, kNoResource});
+      t += dur;
+    }
+  }
+  EXPECT_EQ(matchmake(cluster, items),
+            reference::scan_matchmake(cluster, items));
+}
 
 TEST(Regrouping, PaperExample) {
   // §V.D: 100 map + 100 reduce slots, nm=50, nr=30 -> 50 resources with

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 namespace mrcp::cp {
 namespace {
 
@@ -180,6 +184,43 @@ TEST(SetTimes, FirstSolutionOnlyGreedy) {
   ASSERT_TRUE(sol.valid);
   EXPECT_EQ(sol.num_late, 1);
   EXPECT_EQ(stats.solutions, 1);
+}
+
+TEST(SetTimes, LptOrderIsDurationDescendingThenIndex) {
+  // An all-LPT first descent fixes each phase longest first, equal
+  // durations by task index. On one slot per phase nothing overlaps, so
+  // the start order is the decision order. Durations past 2^32 need the
+  // order's keys in full.
+  constexpr std::int64_t kBig = std::int64_t{1} << 32;
+  Model m;
+  m.add_resource(1, 1);
+  const CpJobIndex j = m.add_job(Time{0}, Time{16 * kBig}, 0);
+  const std::vector<std::int64_t> maps = {5, 2 * kBig, 7, 2 * kBig, 5,
+                                          kBig + 1, 7, 1, kBig - 1};
+  const std::vector<std::int64_t> reduces = {3, kBig + 3, 3, kBig + 3};
+  for (const std::int64_t d : maps) m.add_task(j, Phase::kMap, Time{d});
+  for (const std::int64_t d : reduces) m.add_task(j, Phase::kReduce, Time{d});
+
+  SearchLimits limits = default_limits();
+  limits.stop_after_first_solution = true;
+  limits.max_fails = 0;
+  limits.postpone_tries = 0;
+  SetTimesSearch search(m, make_job_ranks(m, JobOrdering::kEdf), {1});
+  SearchStats stats;
+  const Solution sol = search.run(limits, nullptr, &stats);
+  ASSERT_TRUE(sol.valid);
+  std::vector<CpTaskIndex> by_start(m.num_tasks());
+  for (std::size_t t = 0; t < by_start.size(); ++t) {
+    by_start[t] = static_cast<CpTaskIndex>(t);
+  }
+  std::sort(by_start.begin(), by_start.end(),
+            [&](CpTaskIndex a, CpTaskIndex b) {
+              return sol.placements[static_cast<std::size_t>(a)].start <
+                     sol.placements[static_cast<std::size_t>(b)].start;
+            });
+  const std::vector<CpTaskIndex> want = {1, 3, 5, 8, 2, 6, 0, 4, 7,
+                                         10, 12, 9, 11};
+  EXPECT_EQ(by_start, want);
 }
 
 TEST(SetTimes, UnavoidablyLateJobCounted) {
