@@ -36,9 +36,9 @@ constexpr std::uint64_t radix_key(std::int64_t value) {
 }
 
 /// Sorts `items` ascending by `key(item)`, a std::uint64_t, keeping equal
-/// keys in their input order. `scratch` is resized to the item count and
-/// left with unspecified contents; hold it across calls to sort without
-/// allocating.
+/// keys in their input order. `scratch` grows to the item count when it
+/// is smaller and is left with unspecified contents; hold it across calls
+/// to sort without allocating or clearing it again.
 template <typename T, typename Key>
 void radix_sort(std::span<T> items, std::vector<T>& scratch, Key key) {
   const std::size_t n = items.size();
@@ -65,7 +65,7 @@ void radix_sort(std::span<T> items, std::vector<T>& scratch, Key key) {
     for (int b = 0; b < bytes; ++b) ++count[b][(k >> (8 * b)) & 0xFF];
   }
 
-  scratch.resize(n);
+  if (scratch.size() < n) scratch.resize(n);
   T* from = items.data();
   T* to = scratch.data();
   for (int b = 0; b < bytes; ++b) {

@@ -1,7 +1,11 @@
 #include "common/schedule_check.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <tuple>
+
+#include "common/check.h"
 
 namespace mrcp {
 namespace {
@@ -67,64 +71,91 @@ std::string precedence(const std::vector<ScheduleRow>& rows,
 
 std::string capacity_sweep(const std::vector<ScheduleRow>& rows,
                            const std::vector<ResourceCapacity>& capacity) {
+  MRCP_CHECK(rows.size() <= std::numeric_limits<std::uint32_t>::max());
   const bool links_constrained =
       std::any_of(capacity.begin(), capacity.end(),
                   [](const ResourceCapacity& c) { return c.net > 0; });
-  // One series of deltas per (resource, dim), dim 0 map, 1 reduce, 2 net,
-  // laid out in (resource, dim) order: a counting pass sizes each series,
-  // so only the deltas within a series need sorting, by time alone.
+  // One series per (resource, dim), dim 0 map, 1 reduce, 2 net, laid out
+  // in (resource, dim) order: a counting pass sizes each series' bucket
+  // of row indices. A row enters a series only where it holds something:
+  // an empty interval (a kill at its own start instant) holds nothing.
   constexpr std::size_t kDims = 3;
   auto series = [](int resource, int dim) {
     return static_cast<std::size_t>(resource) * kDims +
            static_cast<std::size_t>(dim);
   };
-  auto has_net = [&](const ScheduleRow& r) {
-    return links_constrained && r.net_demand > 0;
+  auto holds = [](const ScheduleRow& r, int demand) {
+    return demand > 0 && r.start < r.end;
   };
-  std::vector<std::size_t> begin(capacity.size() * kDims + 1, 0);
+  auto has_net = [&](const ScheduleRow& r) {
+    return links_constrained && holds(r, r.net_demand);
+  };
+  std::vector<std::uint32_t> begin(capacity.size() * kDims + 1, 0);
   for (const ScheduleRow& r : rows) {
-    begin[series(r.resource, static_cast<int>(r.dim)) + 1] += 2;
-    if (has_net(r)) begin[series(r.resource, 2) + 1] += 2;
+    if (holds(r, r.demand)) {
+      ++begin[series(r.resource, static_cast<int>(r.dim)) + 1];
+    }
+    if (has_net(r)) ++begin[series(r.resource, 2) + 1];
   }
   for (std::size_t s = 1; s < begin.size(); ++s) begin[s] += begin[s - 1];
-  struct Delta {
-    Time at;
-    int change;
-  };
-  std::vector<Delta> deltas(begin.back());
-  std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
-  auto add = [&](std::size_t s, Time start, Time end, int demand) {
-    deltas[fill[s]++] = {start, demand};
-    deltas[fill[s]++] = {end, -demand};
-  };
-  for (const ScheduleRow& r : rows) {
-    add(series(r.resource, static_cast<int>(r.dim)), r.start, r.end,
-        r.demand);
-    if (has_net(r)) add(series(r.resource, 2), r.start, r.end, r.net_demand);
+  std::vector<std::uint32_t> bucket(begin.back());
+  std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ScheduleRow& r = rows[i];
+    const auto row = static_cast<std::uint32_t>(i);
+    if (holds(r, r.demand)) {
+      bucket[fill[series(r.resource, static_cast<int>(r.dim))]++] = row;
+    }
+    if (has_net(r)) bucket[fill[series(r.resource, 2)]++] = row;
   }
-  // Every interval opens and closes in its own series, so usage is back
-  // to 0 wherever a series ends.
+
+  // Each series is gathered into one reused scratch, sorted by start and
+  // swept with a min-heap of the ends still open. At a start instant t
+  // the intervals ending by t leave before those starting at t join, so
+  // the usage compared is the sum of the intervals covering t. Usage only
+  // rises at a start, so the first instant over capacity is one of them.
+  struct Held {
+    Time start;
+    Time end;
+    int demand;
+  };
+  const auto later_end = [](const Held& a, const Held& b) {
+    return a.end > b.end;
+  };
+  std::vector<Held> held;
+  std::vector<Held> open;
   for (std::size_t s = 0; s + 1 < begin.size(); ++s) {
-    const auto first = deltas.begin() + static_cast<std::ptrdiff_t>(begin[s]);
-    const auto last =
-        deltas.begin() + static_cast<std::ptrdiff_t>(begin[s + 1]);
-    std::sort(first, last,
-              [](const Delta& a, const Delta& b) { return a.at < b.at; });
-    const int resource = static_cast<int>(s / kDims);
     const int dim = static_cast<int>(s % kDims);
+    held.clear();
+    for (std::uint32_t k = begin[s]; k < begin[s + 1]; ++k) {
+      const ScheduleRow& r = rows[bucket[k]];
+      held.push_back({r.start, r.end, dim == 2 ? r.net_demand : r.demand});
+    }
+    std::sort(held.begin(), held.end(),
+              [](const Held& a, const Held& b) { return a.start < b.start; });
+    const int resource = static_cast<int>(s / kDims);
     const ResourceCapacity& c = capacity[static_cast<std::size_t>(resource)];
     const int cap = dim == 0 ? c.map : dim == 1 ? c.reduce : c.net;
+    open.clear();
     int usage = 0;
-    for (auto it = first; it != last; ++it) {
-      usage += it->change;
-      // Compare once per instant, after all of its deltas are summed.
-      if (it + 1 != last && (it + 1)->at == it->at) continue;
+    for (std::size_t i = 0; i < held.size();) {
+      const Time t = held[i].start;
+      while (!open.empty() && open.front().end <= t) {
+        usage -= open.front().demand;
+        std::pop_heap(open.begin(), open.end(), later_end);
+        open.pop_back();
+      }
+      for (; i < held.size() && held[i].start == t; ++i) {
+        usage += held[i].demand;
+        open.push_back(held[i]);
+        std::push_heap(open.begin(), open.end(), later_end);
+      }
       if (usage > cap) {
         static constexpr const char* kDimName[] = {"map", "reduce", "net"};
         return "resource " + std::to_string(resource) + " " +
                kDimName[dim] + " capacity exceeded at t=" +
-               std::to_string(it->at.count()) + " (" +
-               std::to_string(usage) + " > " + std::to_string(cap) + ")";
+               std::to_string(t.count()) + " (" + std::to_string(usage) +
+               " > " + std::to_string(cap) + ")";
       }
     }
   }

@@ -8,7 +8,8 @@
 //
 //   * map, reduce and link capacity per resource (paper Table 1
 //     constraints 5/6 plus the §VII link dimension), swept one
-//     (resource, dimension) series at a time, each sorted by time;
+//     (resource, dimension) series at a time: the series' intervals
+//     sorted by start, with a min-heap of the ends still open;
 //   * anti-affinity: rows sharing a group sit on distinct resources;
 //   * the map→reduce barrier (constraint 3);
 //   * workflow precedence edges.
@@ -41,10 +42,11 @@ enum ScheduleOrder : std::uint8_t {
 };
 
 struct ScheduleRow {
-  std::int64_t job = -1;  ///< >= 0; scopes the barrier, names the row
+  std::int32_t job = -1;  ///< >= 0; scopes the barrier, names the row
   int task = -1;          ///< names the row in errors
   int resource = -1;      ///< index into the capacity table
   SlotDim dim = SlotDim::kMap;
+  std::uint8_t order = kBarrier | kPrecedence;  ///< ScheduleOrder bits
   Time start;
   Time end;
   int demand = 0;      ///< slots held in `dim` over [start, end)
@@ -52,8 +54,10 @@ struct ScheduleRow {
   /// Rows sharing a group >= 0 must sit on pairwise-distinct resources
   /// (model-global ids: layers with job-local groups fold the job in).
   std::int64_t affinity_group = -1;
-  std::uint8_t order = kBarrier | kPrecedence;  ///< ScheduleOrder bits
 };
+// An executed trace holds one row per task run: the validator's peak
+// memory is mostly these rows.
+static_assert(sizeof(ScheduleRow) <= 48);
 
 struct ResourceCapacity {
   int map = 0;
@@ -71,10 +75,11 @@ struct RowEdge {
 /// Check `rows` against the shared constraints; `capacity` is indexed by
 /// every row's (in-range) resource. Once any resource has link capacity,
 /// net demand is swept on every resource, so a zero-capacity one rejects
-/// it. Deltas at one instant are summed before the compare, so
-/// back-to-back intervals are legal. Returns "" or a located description
-/// of the first violation found; capacity violations are searched in
-/// (resource, map / reduce / net, time) order.
+/// it. Usage at an instant counts the intervals covering it: an interval
+/// ending there has left, so back-to-back intervals are legal, and an
+/// empty one (end == start) holds nothing. Returns "" or a located
+/// description of the first violation found; capacity violations are
+/// searched in (resource, map / reduce / net, time) order.
 std::string check_schedule(const std::vector<ScheduleRow>& rows,
                            const std::vector<ResourceCapacity>& capacity,
                            const std::vector<RowEdge>& edges);

@@ -32,7 +32,8 @@ void order_group(std::vector<std::uint32_t>& stack, std::size_t from) {
 }  // namespace
 
 std::vector<ResourceId> matchmake(const Cluster& cluster,
-                                  const std::vector<MatchItem>& items) {
+                                  const std::vector<MatchItem>& items,
+                                  std::vector<KeyedIndex>& scratch) {
   const std::size_t n = items.size();
   MRCP_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
 
@@ -66,8 +67,7 @@ std::vector<ResourceId> matchmake(const Cluster& cluster,
     by_end.push_back(KeyedIndex{radix_key(item.end.count()),
                                 static_cast<std::uint32_t>(i)});
   }
-  std::vector<KeyedIndex> buffer;
-  radix_sort(std::span<KeyedIndex>(by_end), buffer);
+  radix_sort(std::span<KeyedIndex>(by_end), scratch);
   std::vector<KeyedIndex> by_start;
   by_start.reserve(n);
   for (const KeyedIndex& e : by_end) {
@@ -77,7 +77,7 @@ std::vector<ResourceId> matchmake(const Cluster& cluster,
             (item.pinned ? 0U : 1U),
         e.index});
   }
-  radix_sort(std::span<KeyedIndex>(by_start), buffer);
+  radix_sort(std::span<KeyedIndex>(by_start), scratch);
 
   std::vector<std::uint32_t> slot_of(n);
   std::vector<ResourceId> assigned(n, kNoResource);

@@ -37,6 +37,7 @@
 
 #include <vector>
 
+#include "common/radix_sort.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/job.h"
 
@@ -53,9 +54,13 @@ struct MatchItem {
 
 /// Assign each item a resource. Returns resources indexed like `items`.
 /// Aborts (MRCP_CHECK) if the items violate the total-capacity invariant,
-/// which would indicate an invalid combined-resource schedule.
+/// which would indicate an invalid combined-resource schedule. `scratch`
+/// is the radix sorts' buffer: a caller that matchmakes repeatedly (the
+/// RM, once per combined replan) keeps it so that it is allocated and
+/// cleared only when it grows.
 std::vector<ResourceId> matchmake(const Cluster& cluster,
-                                  const std::vector<MatchItem>& items);
+                                  const std::vector<MatchItem>& items,
+                                  std::vector<KeyedIndex>& scratch);
 
 /// §V.D step 2: distribute `total_map_slots` map slots over max(nm, nr)
 /// resources (evenly) and `total_reduce_slots` reduce slots over the

@@ -623,7 +623,7 @@ const Plan& MrcpRm::reschedule(Time now) {
                   .resource;
         }
       }
-      resources = matchmake(cluster_, items);
+      resources = matchmake(cluster_, items, matchmake_scratch_);
     } else {
       for (std::size_t i = 0; i < built.task_refs.size(); ++i) {
         resources[i] = static_cast<ResourceId>(chosen.placements[i].resource);

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/radix_sort.h"
 #include "common/types.h"
 #include "core/degradation.h"
 #include "core/model_builder.h"
@@ -250,6 +251,9 @@ class MrcpRm {
   std::multimap<Time, Job> deferred_;  ///< release time -> job
   Plan plan_;
   MrcpStats stats_;
+  /// matchmake()'s sort buffer, kept across replans so that it is
+  /// allocated and cleared only when a replan outgrows it.
+  std::vector<KeyedIndex> matchmake_scratch_;
 
   // ---- Degraded-mode state (docs/degraded_mode.md) ----
   std::set<JobId> parked_;       ///< jobs with unplaced tasks this epoch

@@ -79,15 +79,15 @@ std::string validate_solution(const Model& model, const Solution& sol) {
                     .task = task,
                     .resource = p.resource,
                     .dim = map ? SlotDim::kMap : SlotDim::kReduce,
+                    .order = static_cast<std::uint8_t>(
+                        !t.pinned ? kBarrier | kPrecedence
+                        : map     ? kBarrier
+                                  : 0),
                     .start = p.start,
                     .end = p.start + model.duration_on(task, p.resource),
                     .demand = t.demand,
                     .net_demand = t.net_demand,
-                    .affinity_group = t.affinity_group,
-                    .order = static_cast<std::uint8_t>(
-                        !t.pinned ? kBarrier | kPrecedence
-                        : map     ? kBarrier
-                                  : 0)});
+                    .affinity_group = t.affinity_group});
     for (CpTaskIndex pred : model.predecessors(task)) {
       edges.push_back({static_cast<std::size_t>(pred), ti});
     }

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <utility>
 
 #include "baseline/minedf_wc.h"
 #include "common/check.h"
+#include "common/stopwatch.h"
 #include "des/simulation.h"
 #include "sim/sim_internal.h"
 
@@ -67,10 +69,14 @@ std::string validate_execution(const Workload& workload,
     down_by_res[static_cast<std::size_t>(d.resource)].push_back(&d);
   }
 
+  MRCP_CHECK(executed.size() + killed.size() <=
+             std::numeric_limits<std::uint32_t>::max());
   std::vector<ScheduleRow> rows;
   rows.reserve(executed.size() + killed.size());
-  // row_of[first_task[job] + task] = row of that task's successful run.
-  std::vector<std::size_t> row_of(executed.size(), executed.size());
+  // row_of[first_task[job] + task] = row of that task's successful run;
+  // `unrun` until that run is seen.
+  const auto unrun = static_cast<std::uint32_t>(executed.size());
+  std::vector<std::uint32_t> row_of(executed.size(), unrun);
   for (std::size_t i = 0; i < executed.size() + killed.size(); ++i) {
     const bool was_killed = i >= executed.size();
     const ExecutedTask& et =
@@ -122,10 +128,10 @@ std::string validate_execution(const Workload& workload,
       row.order = 0;
       continue;
     }
-    std::size_t& slot = row_of[first_task[static_cast<std::size_t>(et.job)] +
-                               static_cast<std::size_t>(et.task_index)];
-    if (slot != executed.size()) return fail("executed twice");
-    slot = i;
+    std::uint32_t& slot = row_of[first_task[static_cast<std::size_t>(et.job)] +
+                                 static_cast<std::size_t>(et.task_index)];
+    if (slot != unrun) return fail("executed twice");
+    slot = static_cast<std::uint32_t>(i);
     if (et.end - et.start != run_time) {
       return fail("wrong duration for the host's speed");
     }
@@ -435,8 +441,10 @@ SimMetrics simulate_minedf(const Workload& workload,
   metrics.failure.rack_bursts = injector.rack_bursts();
 
   if (options.validate_execution) {
+    const Stopwatch validate;
     const std::string err =
         validate_execution(w, executed, metrics.killed, metrics.downtime);
+    metrics.validate_wall_seconds = validate.elapsed_seconds();
     MRCP_CHECK_MSG(err.empty(), err.c_str());
   }
   metrics.executed = std::move(executed);

@@ -89,6 +89,10 @@ struct SimMetrics {
   /// journal carry no side-channel fields (wall_seconds reads 0).
   std::vector<InvocationRecord> invocations;
   double total_sched_seconds = 0.0;
+  /// Wall clock of the driver's validate_execution call (0 when
+  /// SimOptions::validate_execution is off); `mrcp-sim --stats` prints
+  /// it. Wall clock only: no trace or summary metric depends on it.
+  double validate_wall_seconds = 0.0;
   std::uint64_t rm_invocations = 0;
   std::uint64_t max_live_tasks = 0;
   /// True when a crash-injection hook (DurabilityOptions::

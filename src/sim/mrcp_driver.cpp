@@ -37,6 +37,7 @@
 #include "common/io/codec.h"
 #include "common/io/file_io.h"
 #include "common/io/record_io.h"
+#include "common/stopwatch.h"
 #include "common/types.h"
 #include "core/journal.h"
 #include "core/mrcp_rm.h"
@@ -109,12 +110,15 @@ class MrcpSimDriver {
     remaining_.resize(w.jobs.size());
     jobs_by_id_.resize(w.jobs.size(), nullptr);
     arrival_events_.resize(w.jobs.size());
+    std::size_t total_tasks = 0;
     for (const Job& job : w.jobs) {
       const auto ji = static_cast<std::size_t>(job.id);
       tasks_[ji].resize(job.num_tasks());
       remaining_[ji] = job.num_tasks();
       jobs_by_id_[ji] = &job;
+      total_tasks += job.num_tasks();
     }
+    executed_.reserve(total_tasks);
     jobs_left_ = w.jobs.size();
   }
 
@@ -499,7 +503,7 @@ class MrcpSimDriver {
     if (!injector_.restore_state(injector_state, error)) return false;
     des_.restore_clock(now);
 
-    executed_ = std::move(executed);
+    executed_.assign(executed.begin(), executed.end());  // keeps the reserve
     metrics_.killed = std::move(killed);
     metrics_.failure.tasks_killed = metrics_.killed.size();
     metrics_.failure.wasted_ticks = kTimeZero;
@@ -698,9 +702,14 @@ class MrcpSimDriver {
     metrics_.failure.resource_repairs = injector_.repairs();
     metrics_.failure.rack_bursts = injector_.rack_bursts();
 
+    // The per-task state is dead once the run is over; free it before
+    // the validator allocates its rows.
+    tasks_ = {};
     if (!crashed && options_.validate_execution) {
+      const Stopwatch validate;
       const std::string err =
           validate_execution(w_, executed_, metrics_.killed, metrics_.downtime);
+      metrics_.validate_wall_seconds = validate.elapsed_seconds();
       MRCP_CHECK_MSG(err.empty(), err.c_str());
     }
     metrics_.executed = std::move(executed_);

@@ -97,35 +97,66 @@ std::string one_vector_sweep(const std::vector<ScheduleRow>& rows,
   return "";
 }
 
-TEST(CheckSchedule, PerSeriesSweepMatchesOneVectorSweep) {
-  int rejected = 0;
-  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    RandomStream rng(seed, 0x5C);
-    std::vector<ResourceCapacity> cap(
-        static_cast<std::size_t>(rng.uniform_int(1, 4)));
-    const bool links = rng.bernoulli(0.5);
-    for (ResourceCapacity& c : cap) {
-      c.map = static_cast<int>(rng.uniform_int(1, 3));
-      c.reduce = static_cast<int>(rng.uniform_int(1, 3));
-      c.net = links ? static_cast<int>(rng.uniform_int(0, 3)) : 0;
-    }
-    std::vector<ScheduleRow> rows;
-    for (int i = static_cast<int>(rng.uniform_int(0, 24)); i > 0; --i) {
-      const std::int64_t start = rng.uniform_int(0, 40);
-      rows.push_back(row(
-          static_cast<int>(rng.uniform_int(
-              0, static_cast<std::int64_t>(cap.size()) - 1)),
-          rng.bernoulli(0.5) ? SlotDim::kMap : SlotDim::kReduce, start,
-          start + rng.uniform_int(1, 15),
-          static_cast<int>(rng.uniform_int(0, 2)),
-          static_cast<int>(rng.uniform_int(0, 2))));
-    }
-    const std::string want = one_vector_sweep(rows, cap);
-    EXPECT_EQ(check_schedule(rows, cap, {}), want) << "seed " << seed;
-    rejected += want.empty() ? 0 : 1;
+/// A random row set of one of two shapes. Small: up to 24 rows on up to
+/// 4 resources of capacity 1-3. Wide: 150-250 rows on one resource of
+/// capacity 64, the shape of a Facebook run's series. Both draw empty
+/// intervals (end == start), demand 0, net demand and starts on a coarse
+/// grid, so that many rows share an instant and ends meet starts.
+struct RandomSchedule {
+  std::vector<ResourceCapacity> cap;
+  std::vector<ScheduleRow> rows;
+};
+
+RandomSchedule random_schedule(RandomStream& rng, bool wide) {
+  RandomSchedule out;
+  out.cap.resize(wide ? 1 : static_cast<std::size_t>(rng.uniform_int(1, 4)));
+  const bool links = rng.bernoulli(0.5);
+  for (ResourceCapacity& c : out.cap) {
+    c.map = wide ? 64 : static_cast<int>(rng.uniform_int(1, 3));
+    c.reduce = wide ? 64 : static_cast<int>(rng.uniform_int(1, 3));
+    c.net = links ? static_cast<int>(rng.uniform_int(0, wide ? 128 : 3)) : 0;
   }
-  EXPECT_GE(rejected, 100);
-  EXPECT_LE(rejected, 380);
+  const std::int64_t rows = wide ? rng.uniform_int(150, 250)
+                                 : rng.uniform_int(0, 24);
+  const std::int64_t horizon = wide ? 25 : 40;
+  const std::int64_t longest = wide ? 40 : 15;
+  const std::int64_t grid = rng.bernoulli(0.5) ? 5 : 1;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const std::int64_t start = rng.uniform_int(0, horizon / grid) * grid;
+    const std::int64_t length =
+        rng.bernoulli(0.15) ? 0 : rng.uniform_int(1, longest / grid) * grid;
+    out.rows.push_back(row(
+        static_cast<int>(rng.uniform_int(
+            0, static_cast<std::int64_t>(out.cap.size()) - 1)),
+        rng.bernoulli(0.5) ? SlotDim::kMap : SlotDim::kReduce, start,
+        start + length, static_cast<int>(rng.uniform_int(0, 2)),
+        static_cast<int>(rng.uniform_int(0, 2))));
+  }
+  return out;
+}
+
+TEST(CheckSchedule, PerSeriesSweepMatchesOneVectorSweep) {
+  int rejected[2] = {0, 0};
+  int empty_over_capacity = 0;
+  for (std::uint64_t seed = 1; seed <= 800; ++seed) {
+    RandomStream rng(seed, 0x5C);
+    const bool wide = seed % 2 == 0;
+    RandomSchedule s = random_schedule(rng, wide);
+    const std::string want = one_vector_sweep(s.rows, s.cap);
+    EXPECT_EQ(check_schedule(s.rows, s.cap, {}), want) << "seed " << seed;
+    rejected[wide ? 1 : 0] += want.empty() ? 0 : 1;
+    // Would the verdict change if empty intervals held their demand?
+    for (ScheduleRow& r : s.rows) {
+      if (r.end == r.start) r.end = r.start + Time{1};
+    }
+    if (one_vector_sweep(s.rows, s.cap) != want) ++empty_over_capacity;
+  }
+  // Both verdicts on both shapes, and empty intervals that matter.
+  EXPECT_GE(rejected[0], 100);
+  EXPECT_LE(rejected[0], 380);
+  EXPECT_GE(rejected[1], 50);
+  EXPECT_LE(rejected[1], 350);
+  EXPECT_GE(empty_over_capacity, 20);
 }
 
 }  // namespace

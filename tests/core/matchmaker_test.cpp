@@ -14,6 +14,13 @@
 namespace mrcp {
 namespace {
 
+/// matchmake() with a fresh sort buffer.
+std::vector<ResourceId> matchmake(const Cluster& cluster,
+                                  const std::vector<MatchItem>& items) {
+  std::vector<KeyedIndex> scratch;
+  return mrcp::matchmake(cluster, items, scratch);
+}
+
 TEST(Matchmaker, PaperMinGapExample) {
   // §V.D: r1 busy until 10, r2 busy until 8; a task needing [11, 15)
   // goes to r1 (gap 1 < gap 3).
@@ -185,13 +192,16 @@ class MatchmakerDifferential
 
 TEST_P(MatchmakerDifferential, SweepEqualsScanReference) {
   const auto [seed, wide, far] = GetParam();
+  // One sort buffer for all four instances, as the RM keeps one across
+  // replans: a later call finds it longer than its items and dirty.
+  std::vector<KeyedIndex> scratch;
   for (std::uint64_t k = 0; k < 4; ++k) {
     const Instance inst = random_instance(seed * 8 + k, wide, far);
     if (wide) {
       ASSERT_GT(inst.cluster.total_map_slots(), 64);
       ASSERT_GT(inst.cluster.total_reduce_slots(), 64);
     }
-    ASSERT_EQ(matchmake(inst.cluster, inst.items),
+    ASSERT_EQ(mrcp::matchmake(inst.cluster, inst.items, scratch),
               reference::scan_matchmake(inst.cluster, inst.items))
         << "instance " << k << " of seed " << seed;
   }

@@ -403,5 +403,34 @@ TEST(ValidateExecutionFaults, KilledAttemptIsExemptFromAntiAffinity) {
   EXPECT_NE(validate_execution(w, shared, killed, downtime), "");
 }
 
+TEST(ValidateExecutionFaults, KilledAttemptsPinTheCapacityMessage) {
+  // Four 30-tick maps and a reduce on two resources of two map slots.
+  // Resource 0 fails at 50: two attempts die there, and a third is
+  // killed at its own start instant, which holds nothing.
+  const Workload w = make_workload(
+      {make_job(0, Time{0}, Time{0}, Time{100000},
+                {Time{30}, Time{30}, Time{30}, Time{30}}, {Time{30}})},
+      2, 2, 1);
+  const std::vector<DownInterval> downtime = {{0, Time{50}, Time{60}}};
+  const std::vector<ExecutedTask> executed = {
+      {0, 0, 0, Time{0}, Time{30}},  {0, 1, 0, Time{10}, Time{40}},
+      {0, 2, 1, Time{60}, Time{90}}, {0, 3, 1, Time{60}, Time{90}},
+      {0, 4, 1, Time{90}, Time{120}}};
+  // Killed task 2 joins maps 0 and 1 at t=25.
+  std::vector<ExecutedTask> killed = {{0, 2, 0, Time{25}, Time{50}},
+                                      {0, 3, 0, Time{40}, Time{50}},
+                                      {0, 1, 0, Time{50}, Time{50}}};
+  EXPECT_EQ(validate_execution(w, executed, killed, downtime),
+            "resource 0 map capacity exceeded at t=25 (3 > 2)");
+  // Started as map 0 ends, it fits: map 0 leaves at 30 and map 1 at 40,
+  // the instants the two killed attempts start.
+  killed[0].start = Time{30};
+  EXPECT_EQ(validate_execution(w, executed, killed, downtime), "");
+  // A third slot held over [40, 50) is one too many.
+  killed.push_back({0, 0, 0, Time{45}, Time{50}});
+  EXPECT_EQ(validate_execution(w, executed, killed, downtime),
+            "resource 0 map capacity exceeded at t=45 (3 > 2)");
+}
+
 }  // namespace
 }  // namespace mrcp::sim

@@ -323,6 +323,10 @@ int run_simulate(const Flags& flags) {
   std::printf("  T = %.1f s\n", run.T_seconds);
   std::printf("  N = %.0f late\n", run.N_late);
   std::printf("  P = %.2f %%\n", run.P_percent);
+  if (flags.get_bool("stats")) {
+    std::printf("  execution validation wall = %.3f s\n",
+                metrics.validate_wall_seconds);
+  }
   if (options.faults.enabled()) {
     const sim::FailureMetrics& f = metrics.failure;
     std::printf("faults:\n");
@@ -443,7 +447,8 @@ int main(int argc, char** argv) {
       .add_bool("incremental", false,
                 "mrcp: dirty-set incremental rescheduling (frozen boundary "
                 "— docs/incremental.md)")
-      .add_bool("stats", false, "simulate: print solver/degradation stats")
+      .add_bool("stats", false,
+                "simulate: print validation wall and solver/degradation stats")
       .add_double("mtbf", 0.0, "mean time between failures per resource (s, "
                                "0 = no failures)")
       .add_double("mttr", 60.0, "mean time to repair (s)")
